@@ -1,12 +1,13 @@
-//! Design-choice ablations (DESIGN.md §5):
+//! Design-choice ablations:
 //!
 //! * **Θ caching** — rebuilding the transition operator with a cached
 //!   degree/Θ table (what `D2pr::sweep_p` does) vs recomputing it per point;
 //! * **log-space kernel vs direct powf** — the numerically-safe kernel
 //!   against the naive `deg.powf(-p)` (which overflows for extreme `p` —
 //!   benchmarked only on the safe range);
-//! * **serial push vs parallel pull** — the two PageRank iteration
-//!   strategies, including the transpose-construction cost;
+//! * **oracle push vs engine pull** — the reference power iteration
+//!   against the production engine at 1, 2 and 4 threads, with and
+//!   without the transpose-construction cost;
 //! * **fractional-rank Spearman vs d² formula** — tie-correct ranking
 //!   against the classic no-ties shortcut;
 //! * **warm vs cold sweeps** — re-using the previous grid point's solution
@@ -14,14 +15,15 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use d2pr_core::d2pr::D2pr;
-use d2pr_core::gauss_seidel::gauss_seidel_with_transpose;
+use d2pr_core::engine::Engine;
 use d2pr_core::pagerank::{pagerank_with_matrix, PageRankConfig};
-use d2pr_core::parallel::{pagerank_parallel, TransposedMatrix};
 use d2pr_core::transition::{TransitionMatrix, TransitionModel};
 use d2pr_graph::generators::barabasi_albert;
+use d2pr_graph::transpose::CscStructure;
 use d2pr_stats::correlation::{spearman, spearman_from_distinct_ranks};
 use d2pr_stats::rank::{fractional_ranks, RankOrder};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn theta_caching(c: &mut Criterion) {
@@ -89,48 +91,35 @@ fn kernel_logspace_vs_direct(c: &mut Criterion) {
 
 fn serial_vs_parallel(c: &mut Criterion) {
     let g = barabasi_albert(20_000, 8, 5).expect("generator succeeds");
-    let matrix = TransitionMatrix::build(&g, TransitionModel::DegreeDecoupled { p: 0.5 });
+    let model = TransitionModel::DegreeDecoupled { p: 0.5 };
+    let matrix = TransitionMatrix::build(&g, model);
     let cfg = PageRankConfig::default();
     let mut group = c.benchmark_group("ablation_serial_vs_parallel");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(5));
-    group.bench_function("serial_push", |b| {
+    group.bench_function("oracle_push", |b| {
         b.iter(|| black_box(pagerank_with_matrix(black_box(&g), &matrix, &cfg, None)))
     });
-    let transpose_gs = TransposedMatrix::build(&g, &matrix);
-    group.bench_function("gauss_seidel_prebuilt", |b| {
-        b.iter(|| {
-            black_box(gauss_seidel_with_transpose(
-                black_box(&g),
-                &transpose_gs,
-                &cfg,
-            ))
-        })
-    });
-    for threads in [2usize, 4] {
+    let csc = Arc::new(CscStructure::build(&g));
+    for threads in [1usize, 2, 4] {
         group.bench_with_input(
-            BenchmarkId::new("parallel_pull_incl_transpose", threads),
+            BenchmarkId::new("engine_pull_incl_transpose", threads),
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    let t = TransposedMatrix::build(black_box(&g), &matrix);
-                    black_box(pagerank_parallel(&t, &cfg, None, threads).expect("valid inputs"))
+                    let mut engine = Engine::with_threads(black_box(&g), threads);
+                    black_box(engine.solve_model(model).expect("valid inputs"))
                 })
             },
         );
-        let transpose = TransposedMatrix::build(&g, &matrix);
+        let mut engine =
+            Engine::with_structure(&g, Arc::clone(&csc), threads).expect("matching structure");
+        engine.set_model(model).expect("valid model");
         group.bench_with_input(
-            BenchmarkId::new("parallel_pull_prebuilt", threads),
+            BenchmarkId::new("engine_pull_prebuilt", threads),
             &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    black_box(
-                        pagerank_parallel(black_box(&transpose), &cfg, None, threads)
-                            .expect("valid inputs"),
-                    )
-                })
-            },
+            |b, _| b.iter(|| black_box(engine.solve().expect("valid inputs"))),
         );
     }
     group.finish();

@@ -125,7 +125,7 @@ mod seed_baseline {
 
     /// The PR-0 iteration scheme: node-count chunks, threads spawned every
     /// iteration (crossbeam scope in the original; std scope here).
-    fn pagerank_parallel_seed(
+    fn seed_parallel_solve(
         transpose: &SeedTranspose,
         config: &PageRankConfig,
         num_threads: usize,
@@ -195,7 +195,7 @@ mod seed_baseline {
             .map(|&p| {
                 let matrix = TransitionMatrix::build(graph, TransitionModel::DegreeDecoupled { p });
                 let transpose = SeedTranspose::build(graph, &matrix);
-                pagerank_parallel_seed(&transpose, config, threads)
+                seed_parallel_solve(&transpose, config, threads)
             })
             .collect()
     }

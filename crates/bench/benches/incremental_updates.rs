@@ -137,7 +137,7 @@ impl SeedTranspose {
 
 /// The PR-0 iteration scheme: node-count chunks, threads spawned every
 /// iteration.
-fn pagerank_parallel_seed(
+fn seed_parallel_solve(
     transpose: &SeedTranspose,
     config: &PageRankConfig,
     num_threads: usize,
@@ -354,7 +354,7 @@ fn seed_rebuild(
         let g = b.build().expect("in-range edges");
         let matrix = TransitionMatrix::build(&g, model);
         let transpose = SeedTranspose::build(&g, &matrix);
-        let r = pagerank_parallel_seed(&transpose, config, SEED_CANONICAL_THREADS);
+        let r = seed_parallel_solve(&transpose, config, SEED_CANONICAL_THREADS);
         assert!(r.converged, "seed baseline must converge");
         iterations += r.iterations;
         scores.push(r.scores);
@@ -587,17 +587,7 @@ fn regime_json(r: &RegimeResult) -> String {
     let modes: Vec<String> = r
         .localized_modes
         .iter()
-        .map(|m| {
-            format!(
-                "\"{}\"",
-                match m {
-                    ResolveMode::WarmSweep => "sweep",
-                    ResolveMode::LocalizedPush => "push",
-                    ResolveMode::HybridPushSweep => "hybrid",
-                    ResolveMode::DenseGaussSeidel => "gs",
-                }
-            )
-        })
+        .map(|m| format!("\"{}\"", m.label()))
         .collect();
     format!(
         concat!(
@@ -673,7 +663,9 @@ fn incremental_updates(c: &mut Criterion) {
     drop(engine0);
 
     let bulk_r = run_regime(c, "bulk", &bulk, &config, threads, MODEL, &csc0, &scores0);
-    let trickle_r = run_regime(c, "trickle", &trickle, &config, threads, MODEL, &csc0, &scores0);
+    let trickle_r = run_regime(
+        c, "trickle", &trickle, &config, threads, MODEL, &csc0, &scores0,
+    );
 
     // Third regime: the same trickle stream at the *serving* tolerance the
     // evolving scenario defaults to (1e-6 -- re-solving far below the next

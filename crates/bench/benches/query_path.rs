@@ -139,8 +139,7 @@ fn main() {
             (q as u64, node % SHARD_NODES as u32)
         })
         .collect();
-    let grouped_ns =
-        time_ns(POINT_REPS, || manager.batch_get(&queries)) / POINT_QUERIES as f64;
+    let grouped_ns = time_ns(POINT_REPS, || manager.batch_get(&queries)) / POINT_QUERIES as f64;
     let per_key_ns = time_ns(POINT_REPS, || {
         queries
             .iter()
@@ -210,7 +209,8 @@ fn main() {
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_query.json")
     };
     let mut f = std::fs::File::create(&out).expect("create BENCH_query.json");
-    f.write_all(json.as_bytes()).expect("write BENCH_query.json");
+    f.write_all(json.as_bytes())
+        .expect("write BENCH_query.json");
     println!("wrote {}\n{json}", out.display());
     println!(
         "top_k({K}): indexed {indexed_ns:.0} ns vs scan {scan_ns:.0} ns ({speedup:.1}x); \

@@ -5,7 +5,8 @@
 //! over a grid of `p` (and `α`, `β`) on a fixed graph. The original solver
 //! stack paid three avoidable costs on every grid point:
 //!
-//! 1. **Operator rebuilt twice** — a CSR-ordered [`TransitionMatrix`] was
+//! 1. **Operator rebuilt twice** — a CSR-ordered
+//!    [`TransitionMatrix`](crate::transition::TransitionMatrix) was
 //!    materialized, then re-scattered into a fresh transposed copy.
 //! 2. **Threads spawned per iteration** — the old parallel solver created
 //!    and joined OS threads on *every* power iteration.
@@ -23,18 +24,17 @@
 //! teleport vectors are supported, and every entry point returns
 //! [`SolverError`] instead of panicking. See `DESIGN.md` for the layout.
 //!
-//! The barrier/worker machinery in this module is also reused by the
-//! transpose-level solver in [`crate::parallel`].
+//! The engine is the crate's one production solver; the power iteration in
+//! [`mod@crate::pagerank`] is the reference oracle the tests compare it
+//! against.
 
 use crate::error::{SolverError, UpdateError};
 use crate::exec::{sim_event, ExecBarrier};
-#[cfg(feature = "prefetch")]
-use crate::kernel::prefetch_gather;
 use crate::kernel::{gather_plain, gather_weighted};
 use crate::pagerank::{DanglingPolicy, PageRankConfig, PageRankResult};
 use crate::pool::{PadCell, SharedMut, WorkerPool};
 use crate::residual::{LocalOp, LocalizedParams, ParallelPushCtx};
-use crate::transition::{fill_arc_probs, ProbScratch, TransitionMatrix, TransitionModel};
+use crate::transition::{fill_arc_probs, ProbScratch, TransitionModel};
 use crate::workspace::Workspace;
 use d2pr_graph::csr::CsrGraph;
 use d2pr_graph::delta::ArcDelta;
@@ -49,25 +49,6 @@ use std::sync::Arc;
 /// available parallelism.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Which kernel the engine's **single-partition** sweep path runs.
-///
-/// The pooled (multi-partition) path always runs the Jacobi-style pull
-/// kernel — Gauss–Seidel consumes updates in place, which is inherently
-/// sequential — so this flag takes effect exactly on the single-partition
-/// path (1 worker, or graphs too small to split). Both kernels converge to
-/// the same fixed points (parity-tested to 1e-8 in `tests/incremental.rs`);
-/// Gauss–Seidel typically halves iteration counts on well-ordered graphs
-/// at the cost of an `O(E)` per-point operator materialization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SweepKernel {
-    /// Ping-pong pull kernel with Aitken extrapolation (the default).
-    #[default]
-    Pull,
-    /// In-place Gauss–Seidel sweeps (`crate::gauss_seidel`), policy- and
-    /// teleport-complete, warm-start chained across grid points.
-    GaussSeidel,
 }
 
 /// Default minimum frontier estimate (summed in+out degree of the delta's
@@ -94,8 +75,27 @@ pub enum ResolveMode {
     /// pushed iterate — typically several error decades ahead of the
     /// plain warm start.
     HybridPushSweep,
-    /// Dense Gauss–Seidel, warm-started — the tiny-graph fallback.
+    /// Never produced. It named the dense Gauss–Seidel fallback that tiny
+    /// graphs (≤ 128 nodes) once took; they now refresh through the same
+    /// push, hybrid or warm-sweep path as every other graph. The variant
+    /// stays so that downstream `match`es naming it keep compiling.
+    #[deprecated(note = "never produced: tiny graphs refresh like any other graph")]
     DenseGaussSeidel,
+}
+
+impl ResolveMode {
+    /// Short label for reports and bench output: `sweep`, `push`, `hybrid`
+    /// (or `gs` for the retired [`ResolveMode::DenseGaussSeidel`]). The
+    /// only code that names that variant.
+    #[allow(deprecated)]
+    pub fn label(self) -> &'static str {
+        match self {
+            ResolveMode::WarmSweep => "sweep",
+            ResolveMode::LocalizedPush => "push",
+            ResolveMode::HybridPushSweep => "hybrid",
+            ResolveMode::DenseGaussSeidel => "gs",
+        }
+    }
 }
 
 /// Result of an incremental re-solve, with strategy diagnostics.
@@ -131,9 +131,8 @@ pub struct IncrementalOutcome {
 ///   uniform rescale** (the final simplex normalization divides the whole
 ///   vector by one positive constant, which preserves the relative order
 ///   of untouched nodes).
-/// * `all == true`: a sweep (warm, hybrid finisher, or dense Gauss–Seidel)
-///   rewrote the full vector — there is no usable locality and `nodes` is
-///   left empty.
+/// * `all == true`: a sweep (warm or hybrid finisher) rewrote the full
+///   vector — there is no usable locality and `nodes` is left empty.
 ///
 /// The buffer is reusable: pass the same `TouchedSet` every refresh and
 /// its `nodes` allocation is recycled (clear + extend).
@@ -232,7 +231,6 @@ pub struct EngineState {
     /// nothing (see [`PoolCarrier`]).
     pool: PoolCarrier,
     threads_spawned: usize,
-    kernel: SweepKernel,
     push_parallel_threshold: usize,
 }
 
@@ -333,9 +331,8 @@ impl EngineState {
         delta: &ArcDelta,
         prepatched: Option<Arc<CscStructure>>,
     ) -> Result<EngineState, UpdateError> {
-        let structural = !delta.inserted.is_empty()
-            || !delta.deleted.is_empty()
-            || delta.added_nodes() > 0;
+        let structural =
+            !delta.inserted.is_empty() || !delta.deleted.is_empty() || delta.added_nodes() > 0;
         if structural {
             // A structural delta rekeys the share: the patched structure
             // is a new `Arc` generation, other holders of the old one are
@@ -502,8 +499,6 @@ pub struct Engine<'g> {
     /// OS threads spawned by this engine lineage (see
     /// [`IncrementalOutcome::pool_spawns`]).
     threads_spawned: usize,
-    /// Kernel of the single-partition sweep path.
-    kernel: SweepKernel,
     /// Frontier estimate above which localized drains go parallel.
     push_parallel_threshold: usize,
     config: PageRankConfig,
@@ -625,7 +620,6 @@ impl<'g> Engine<'g> {
             push_owner,
             pool,
             threads_spawned,
-            kernel: SweepKernel::default(),
             push_parallel_threshold: DEFAULT_PARALLEL_PUSH_THRESHOLD,
             config: PageRankConfig::default(),
             model: None,
@@ -691,24 +685,6 @@ impl<'g> Engine<'g> {
         Arc::clone(&self.csc)
     }
 
-    /// Select the kernel of the single-partition sweep path (see
-    /// [`SweepKernel`]). No effect on pooled (multi-partition) sweeps.
-    pub fn set_kernel(&mut self, kernel: SweepKernel) {
-        self.kernel = kernel;
-    }
-
-    /// Builder-style [`Engine::set_kernel`].
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: SweepKernel) -> Self {
-        self.set_kernel(kernel);
-        self
-    }
-
-    /// The kernel the single-partition sweep path runs.
-    pub fn kernel(&self) -> SweepKernel {
-        self.kernel
-    }
-
     /// Set the frontier estimate above which [`Engine::resolve_localized`]
     /// drains the residual with the frontier-parallel push (default
     /// [`DEFAULT_PARALLEL_PUSH_THRESHOLD`]). `0` forces the parallel drain
@@ -763,7 +739,6 @@ impl<'g> Engine<'g> {
             // the same OS threads, so the serving loop never respawns.
             pool: PoolCarrier(self.pool),
             threads_spawned: self.threads_spawned,
-            kernel: self.kernel,
             push_parallel_threshold: self.push_parallel_threshold,
         }
     }
@@ -823,7 +798,6 @@ impl<'g> Engine<'g> {
             push_owner,
             pool,
             threads_spawned,
-            kernel: state.kernel,
             push_parallel_threshold: state.push_parallel_threshold,
             config: state.config,
             model: state.model,
@@ -905,18 +879,10 @@ impl<'g> Engine<'g> {
     /// `in_sources`) of the last **arc-mode** model. Factored models (pure
     /// degree de-coupling) never materialize per-arc values, so after a
     /// factored [`Engine::set_model`] this buffer still holds the previous
-    /// arc-mode operator — use [`Engine::to_matrix`] for a representation
-    /// that is always current. Exposed for tests and diagnostics.
+    /// arc-mode operator (empty if there was none). Exposed for tests and
+    /// diagnostics.
     pub fn in_probs(&self) -> &[f64] {
         &self.in_probs
-    }
-
-    /// Materialize the currently loaded operator as a [`TransitionMatrix`]
-    /// (CSR order) for interop with the serial solvers. Rebuilt from the
-    /// model (the fast operator path skips the CSR-order buffer).
-    pub fn to_matrix(&self) -> Option<TransitionMatrix> {
-        self.model
-            .map(|model| TransitionMatrix::build_with_theta(self.graph, model, &self.theta))
     }
 
     /// Solve for the loaded model with uniform teleportation.
@@ -939,7 +905,7 @@ impl<'g> Engine<'g> {
         let model = self
             .model
             .ok_or_else(|| SolverError::InvalidModel("no transition model loaded".into()))?;
-        let mut out = self.sweep_with_teleport(&[model], teleport, false)?;
+        let mut out = self.sweep_inner(&[model], teleport, false, None)?;
         Ok(out.pop().expect("one model yields one result"))
     }
 
@@ -966,21 +932,7 @@ impl<'g> Engine<'g> {
         models: &[TransitionModel],
         warm_start: bool,
     ) -> Result<Vec<PageRankResult>, SolverError> {
-        self.sweep_with_teleport(models, None, warm_start)
-    }
-
-    /// [`Engine::sweep`] with an optional teleport distribution shared by
-    /// every grid point.
-    ///
-    /// # Errors
-    /// Fails fast on the first invalid input; no solves run in that case.
-    pub fn sweep_with_teleport(
-        &mut self,
-        models: &[TransitionModel],
-        teleport: Option<&[f64]>,
-        warm_start: bool,
-    ) -> Result<Vec<PageRankResult>, SolverError> {
-        self.sweep_inner(models, teleport, warm_start, None)
+        self.sweep_inner(models, None, warm_start, None)
     }
 
     /// Re-solve after an incremental graph update with a warm-started
@@ -998,9 +950,8 @@ impl<'g> Engine<'g> {
     /// mass.
     ///
     /// This entry point serves **uniform-teleport** ranks (it resets any
-    /// previously set teleport); use
-    /// [`Engine::resolve_warm_with_teleport`] when serving personalized
-    /// PageRank.
+    /// previously set teleport); personalized serving refreshes through
+    /// [`Engine::resolve_incremental_tracked`], which takes the teleport.
     ///
     /// # Errors
     /// Returns [`UpdateError::Solver`] when no model is loaded, the config
@@ -1008,19 +959,14 @@ impl<'g> Engine<'g> {
     /// ([`SolverError::WarmStartLength`]) or no usable mass
     /// ([`SolverError::WarmStartMass`]).
     pub fn resolve_warm(&mut self, previous: &[f64]) -> Result<PageRankResult, UpdateError> {
-        self.resolve_warm_with_teleport(previous, None)
+        self.warm_sweep(previous, None)
     }
 
     /// [`Engine::resolve_warm`] with an explicit teleport distribution
-    /// (normalized internally; `None` = uniform) — the warm-sweep serving
-    /// path for personalized PageRank. Pass the same teleport the previous
-    /// solve used; otherwise the re-solve converges to a different fixed
-    /// point than the one being served.
-    ///
-    /// # Errors
-    /// As [`Engine::resolve_warm`], plus the teleport validation errors of
-    /// [`Engine::solve_with_teleport`].
-    pub fn resolve_warm_with_teleport(
+    /// (normalized internally; `None` = uniform). Callers pass the teleport
+    /// the previous solve used; otherwise the re-solve converges to a
+    /// different fixed point than the one being served.
+    fn warm_sweep(
         &mut self,
         previous: &[f64],
         teleport: Option<&[f64]>,
@@ -1074,52 +1020,26 @@ impl<'g> Engine<'g> {
         previous: &[f64],
         delta: &ArcDelta,
     ) -> Result<IncrementalOutcome, UpdateError> {
-        self.resolve_incremental_with_teleport(previous, None, delta)
+        self.resolve_inner(previous, None, delta, false, None, None)
     }
 
-    /// [`Engine::resolve_incremental`] with an explicit teleport
-    /// distribution (normalized internally; `None` = uniform).
+    /// [`Engine::resolve_incremental`] for the serving layer: an explicit
+    /// teleport distribution (normalized internally; `None` = uniform),
+    /// zero-copy score delivery and the repair frontier.
     ///
-    /// # Errors
-    /// As [`Engine::resolve_incremental`].
-    pub fn resolve_incremental_with_teleport(
-        &mut self,
-        previous: &[f64],
-        teleport: Option<&[f64]>,
-        delta: &ArcDelta,
-    ) -> Result<IncrementalOutcome, UpdateError> {
-        self.resolve_inner(previous, teleport, delta, false, None, None)
-    }
-
-    /// [`Engine::resolve_incremental_with_teleport`], delivering the
-    /// refreshed scores into `out` instead of an owned allocation — the
-    /// zero-copy publication path of
-    /// [`ServingEngine`](crate::serving::ServingEngine). On the localized
-    /// serving path the push writes the workspace's rank buffer and this
-    /// entry point *swaps* that buffer with `out` (`out`'s previous
-    /// allocation becomes the next solve's scratch); the sweep paths move
-    /// their already-owned result vector. Either way the returned
-    /// [`IncrementalOutcome`]'s `result.scores` is left **empty** — the
-    /// scores live in `out`, whose previous contents are discarded.
-    ///
-    /// # Errors
-    /// As [`Engine::resolve_incremental`].
-    pub fn resolve_incremental_into(
-        &mut self,
-        previous: &[f64],
-        teleport: Option<&[f64]>,
-        delta: &ArcDelta,
-        out: &mut Vec<f64>,
-    ) -> Result<IncrementalOutcome, UpdateError> {
-        self.resolve_inner(previous, teleport, delta, false, Some(out), None)
-    }
-
-    /// [`Engine::resolve_incremental_into`], additionally reporting *which*
-    /// nodes the refresh may have moved (beyond the uniform rescale) in
-    /// `touched` — see [`TouchedSet`] for the exact contract. This is the
-    /// serving layer's entry point for incremental top-k index repair: a
-    /// localized push yields the exact written-node set, every sweep path
-    /// conservatively reports `all`.
+    /// * The refreshed scores land in `out` instead of an owned
+    ///   allocation. On the localized path the push writes the workspace's
+    ///   rank buffer and this entry point *swaps* that buffer with `out`
+    ///   (`out`'s previous allocation becomes the next solve's scratch);
+    ///   the sweep paths move their already-owned result vector. Either
+    ///   way the returned [`IncrementalOutcome`]'s `result.scores` is left
+    ///   **empty** — the scores live in `out`, whose previous contents are
+    ///   discarded.
+    /// * `touched` reports *which* nodes the refresh may have moved (beyond
+    ///   the uniform rescale) — see [`TouchedSet`] for the exact contract.
+    ///   A localized push yields the exact written-node set, every sweep
+    ///   path conservatively reports `all`. The top-k index of
+    ///   [`ServingEngine`](crate::serving::ServingEngine) repairs from it.
     ///
     /// # Errors
     /// As [`Engine::resolve_incremental`].
@@ -1143,16 +1063,15 @@ impl<'g> Engine<'g> {
     /// "Residual-localized refresh", for the work bound).
     ///
     /// The result matches a cold solve of the same engine to solver
-    /// tolerance. Three situations route to a fallback (reported in the
-    /// returned [`IncrementalOutcome::mode`]):
+    /// tolerance, on graphs of every size. Two situations route to a
+    /// fallback (reported in the returned [`IncrementalOutcome::mode`]):
     ///
-    /// * tiny graphs run the dense, policy-complete Gauss–Seidel solver
-    ///   warm-started from `previous` — push bookkeeping would dominate;
     /// * [`DanglingPolicy::Renormalize`] with dangling nodes present (a
     ///   non-affine update) and node-churn batches (which shift the
     ///   teleport vector itself) run the warm sweep;
     /// * a localized attempt that exceeds its work budget (locality lost)
-    ///   restarts as a warm sweep from `previous`.
+    ///   hands its tail to the sweep finisher
+    ///   ([`ResolveMode::HybridPushSweep`]).
     ///
     /// # Errors
     /// As [`Engine::resolve_incremental`].
@@ -1161,21 +1080,7 @@ impl<'g> Engine<'g> {
         previous: &[f64],
         delta: &ArcDelta,
     ) -> Result<IncrementalOutcome, UpdateError> {
-        self.resolve_localized_with_teleport(previous, None, delta)
-    }
-
-    /// [`Engine::resolve_localized`] with an explicit teleport distribution
-    /// (normalized internally; `None` = uniform).
-    ///
-    /// # Errors
-    /// As [`Engine::resolve_incremental`].
-    pub fn resolve_localized_with_teleport(
-        &mut self,
-        previous: &[f64],
-        teleport: Option<&[f64]>,
-        delta: &ArcDelta,
-    ) -> Result<IncrementalOutcome, UpdateError> {
-        self.resolve_inner(previous, teleport, delta, true, None, None)
+        self.resolve_inner(previous, None, delta, true, None, None)
     }
 
     /// Whether the localized solver can serve the current configuration.
@@ -1283,7 +1188,7 @@ impl<'g> Engine<'g> {
     /// skips the frontier-size heuristic (explicit
     /// [`Engine::resolve_localized`] calls); `out`, when given, receives
     /// the refreshed scores by swap/move and `result.scores` stays empty
-    /// (see [`Engine::resolve_incremental_into`]).
+    /// (see [`Engine::resolve_incremental_tracked`]).
     fn resolve_inner(
         &mut self,
         previous: &[f64],
@@ -1374,46 +1279,6 @@ impl<'g> Engine<'g> {
         self.ws
             .init_rank(n, Some(previous))
             .map_err(UpdateError::Solver)?;
-
-        // Tiny graphs: the (policy-complete) dense Gauss–Seidel solver is
-        // cheaper than push bookkeeping and halves sweep counts. The
-        // transpose it sweeps is the engine's **shared** structure (`Arc`
-        // clone) — not re-derived per call.
-        const DENSE_GS_NODES: usize = 128;
-        if n <= DENSE_GS_NODES {
-            // Dense Gauss–Seidel (and its warm-sweep rescue) rewrites the
-            // full vector: no locality to report.
-            if let Some(t) = touched_out.as_deref_mut() {
-                t.mark_all();
-            }
-            let matrix = self.to_matrix().expect("model loaded");
-            let transpose = crate::parallel::TransposedMatrix::from_structure(
-                self.shared_structure(),
-                self.graph,
-                &matrix,
-            );
-            let r = crate::gauss_seidel::gauss_seidel_with_workspace(
-                self.graph,
-                &transpose,
-                &self.config,
-                teleport,
-                Some(previous),
-                &mut self.ws,
-            )
-            .map_err(UpdateError::Solver)?;
-            if r.converged {
-                let mut r = r;
-                deliver_scores(&mut r, out);
-                return Ok(IncrementalOutcome {
-                    result: r,
-                    mode: ResolveMode::DenseGaussSeidel,
-                    frontier: n,
-                    pushes: 0,
-                    pool_spawns: self.threads_spawned,
-                });
-            }
-            return self.warm_outcome(previous, teleport, out);
-        }
 
         let op = if self.factored {
             LocalOp::Factored {
@@ -1536,7 +1401,7 @@ impl<'g> Engine<'g> {
         teleport: Option<&[f64]>,
         out: Option<&mut Vec<f64>>,
     ) -> Result<IncrementalOutcome, UpdateError> {
-        let mut result = self.resolve_warm_with_teleport(previous, teleport)?;
+        let mut result = self.warm_sweep(previous, teleport)?;
         deliver_scores(&mut result, out);
         Ok(IncrementalOutcome {
             result,
@@ -1577,67 +1442,10 @@ impl<'g> Engine<'g> {
         }
         self.ws.set_teleport(n, teleport)?;
         if self.partitions.len() <= 1 {
-            if self.kernel == SweepKernel::GaussSeidel {
-                self.sweep_serial_gs(models, teleport, warm_start, init)
-            } else {
-                self.sweep_serial(models, warm_start, init)
-            }
+            self.sweep_serial(models, warm_start, init)
         } else {
             self.sweep_pooled(models, warm_start, init)
         }
-    }
-
-    /// The alternative single-partition kernel ([`SweepKernel::GaussSeidel`]):
-    /// in-place Gauss–Seidel sweeps through the policy-complete solver in
-    /// [`crate::gauss_seidel`], the operator materialized per grid point
-    /// over the engine's **shared** transpose (no `CscStructure` rebuild).
-    /// Warm starts chain across grid points exactly like the pull sweep.
-    fn sweep_serial_gs(
-        &mut self,
-        models: &[TransitionModel],
-        teleport: Option<&[f64]>,
-        warm_start: bool,
-        init: Option<&[f64]>,
-    ) -> Result<Vec<PageRankResult>, SolverError> {
-        let mut results = Vec::with_capacity(models.len());
-        let mut carry: Option<Vec<f64>> = None;
-        for (pi, &model) in models.iter().enumerate() {
-            // Gauss–Seidel consumes the matrix built below, never the
-            // engine's pull operator — loading that too would double the
-            // per-point `O(E)` cost (and force the arc permutation the
-            // serving path skips). Only the *last* point runs `set_model`,
-            // so the engine's operator state stays consistent with
-            // `self.model` for whatever runs next.
-            if pi + 1 == models.len() && self.model != Some(model) {
-                self.set_model(model)?;
-            }
-            let matrix = TransitionMatrix::build_with_theta(self.graph, model, &self.theta);
-            let transpose = crate::parallel::TransposedMatrix::from_structure(
-                self.shared_structure(),
-                self.graph,
-                &matrix,
-            );
-            let seed = if pi == 0 {
-                init
-            } else if warm_start {
-                carry.as_deref()
-            } else {
-                None
-            };
-            let r = crate::gauss_seidel::gauss_seidel_with_workspace(
-                self.graph,
-                &transpose,
-                &self.config,
-                teleport,
-                seed,
-                &mut self.ws,
-            )?;
-            if warm_start {
-                carry = Some(r.scores.clone());
-            }
-            results.push(r);
-        }
-        Ok(results)
     }
 
     /// Single-threaded sweep (no pool, same math, same buffers).
@@ -1681,7 +1489,7 @@ impl<'g> Engine<'g> {
                 &self.config,
                 &mut self.ws.rank,
                 &mut self.ws.next,
-                Some((&mut self.scaled_a, &mut self.scaled_b)),
+                (&mut self.scaled_a, &mut self.scaled_b),
                 &self.ws.teleport,
             );
             results.push(PageRankResult {
@@ -1772,11 +1580,11 @@ impl<'g> Engine<'g> {
             &topo,
             SharedMut::new(in_probs),
             [SharedMut::new(rank), SharedMut::new(next)],
-            Some(FactoredShared {
+            FactoredShared {
                 numer: SharedMut::new(node_numer),
                 inv_denom: SharedMut::new(inv_denom),
                 scaled: [SharedMut::new(scaled_a), SharedMut::new(scaled_b)],
-            }),
+            },
             teleport,
             &config,
             partitions.len(),
@@ -1800,7 +1608,7 @@ impl<'g> Engine<'g> {
                 // `solve_model`/`solve` arrive with the operator already
                 // loaded by `set_model`; don't rebuild it for that point.
                 let point_factored = factored_eligible(max_log_theta, &model);
-                let fshared = shared.factored.as_ref().expect("provided above");
+                let fshared = &shared.factored;
                 let already_loaded = pi == 0 && *current_model == Some(model);
                 if !already_loaded {
                     if point_factored {
@@ -1873,52 +1681,39 @@ impl<'g> Engine<'g> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared pull-kernel machinery (also used by `crate::parallel`)
+// Pull-kernel machinery
 // ---------------------------------------------------------------------------
 
 /// Immutable topology handed to the pull kernel.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PullTopo<'a> {
+struct PullTopo<'a> {
     /// CSC offsets (`n + 1` entries).
-    pub in_offsets: &'a [usize],
+    in_offsets: &'a [usize],
     /// Narrowed (`u32`) copy of the offsets when the arc count fits —
     /// halves the index bytes streamed per row (see
     /// `d2pr_graph::permute::narrow_offsets`). `None` keeps the wide path.
-    pub narrow_in_offsets: Option<&'a [u32]>,
+    narrow_in_offsets: Option<&'a [u32]>,
     /// CSC sources, parallel to the CSC probability array.
-    pub in_sources: &'a [u32],
+    in_sources: &'a [u32],
     /// `dangling_mask[v]` ⇔ `v` has no out-arcs.
-    pub dangling_mask: &'a [bool],
+    dangling_mask: &'a [bool],
     /// Dangling node list (ascending).
-    pub dangling_nodes: &'a [u32],
+    dangling_nodes: &'a [u32],
 }
 
-impl<'a> PullTopo<'a> {
+impl PullTopo<'_> {
     /// In-arc span of destination `j`, read from the narrow offsets when
     /// available (one well-predicted branch per row).
     #[inline(always)]
-    pub(crate) fn span(&self, j: usize) -> (usize, usize) {
+    fn span(&self, j: usize) -> (usize, usize) {
         match self.narrow_in_offsets {
             Some(o) => (o[j] as usize, o[j + 1] as usize),
             None => (self.in_offsets[j], self.in_offsets[j + 1]),
         }
     }
-
-    /// Sources of row `j + 1` when it exists — the one-row prefetch
-    /// lookahead of the pull kernel (`prefetch` feature).
-    #[cfg(feature = "prefetch")]
-    #[inline(always)]
-    fn next_row(&self, j: usize) -> &'a [u32] {
-        if j + 2 < self.in_offsets.len() {
-            let (s, e) = self.span(j + 1);
-            &self.in_sources[s..e]
-        } else {
-            &[]
-        }
-    }
 }
 
-pub(crate) fn mass_at(nodes: &[u32], values: &[f64]) -> f64 {
+fn mass_at(nodes: &[u32], values: &[f64]) -> f64 {
     nodes.iter().map(|&v| values[v as usize]).sum()
 }
 
@@ -2001,7 +1796,7 @@ fn update_factored_into(
 
 /// The operator representation a solve runs against.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum EngineOp<'a> {
+enum EngineOp<'a> {
     /// Per-arc probabilities in CSC order.
     Arc(&'a [f64]),
     /// Rank-one factored operator `T[j,i] = numer[j] · inv_denom[i]`
@@ -2086,14 +1881,6 @@ fn pull_range(
     let self_loop = params.policy == DanglingPolicy::SelfLoop;
     let mut out = RangeOut::default();
     let base_start = range.start;
-    // The gather's read target: prefetching the *next* row against it
-    // overlaps DRAM latency with the current row's compute (opt-in — see
-    // the `prefetch` feature).
-    #[cfg(feature = "prefetch")]
-    let gather_vals = match op {
-        EngineOp::Arc(_) => rank,
-        EngineOp::Factored { .. } => scaled_rank,
-    };
     for j in range {
         let tj = teleport.map_or(params.uniform, |t| t[j]);
         let is_dangling = topo.dangling_mask[j];
@@ -2103,8 +1890,6 @@ fn pull_range(
         }
         let (s, e) = topo.span(j);
         let srcs = &topo.in_sources[s..e];
-        #[cfg(feature = "prefetch")]
-        prefetch_gather(topo.next_row(j), gather_vals);
         let val = match op {
             EngineOp::Arc(in_probs) => base + alpha * gather_weighted(srcs, &in_probs[s..e], rank),
             EngineOp::Factored { numer, inv_denom } => {
@@ -2148,16 +1933,9 @@ fn pull_range_plain(
 ) -> RangeOut {
     let mut out = RangeOut::default();
     let base_start = range.start;
-    #[cfg(feature = "prefetch")]
-    let gather_vals = match op {
-        EngineOp::Arc(_) => rank,
-        EngineOp::Factored { .. } => scaled_rank,
-    };
     for j in range {
         let (s, e) = topo.span(j);
         let srcs = &topo.in_sources[s..e];
-        #[cfg(feature = "prefetch")]
-        prefetch_gather(topo.next_row(j), gather_vals);
         let val = match op {
             EngineOp::Arc(in_probs) => base + alpha * gather_weighted(srcs, &in_probs[s..e], rank),
             EngineOp::Factored { numer, inv_denom } => {
@@ -2229,16 +2007,16 @@ fn extrapolation_factor(prev_q: f64, q: f64) -> Option<f64> {
 const EXTRAPOLATION_COOLDOWN: usize = 3;
 
 /// Serial iteration loop over plain buffers. `rank` must hold the initial
-/// iterate; on return it holds the final scores. `scaled_bufs` provides the
-/// reusable `rank·inv_denom` ping-pong pair required by factored operators
-/// (pass `None` for arc operators). Returns `(iterations, residual)`.
-pub(crate) fn drive_serial(
+/// iterate; on return it holds the final scores. `scaled` is the reusable
+/// `rank·inv_denom` ping-pong pair factored operators use (cleared for arc
+/// operators). Returns `(iterations, residual)`.
+fn drive_serial(
     topo: &PullTopo<'_>,
     op: EngineOp<'_>,
     config: &PageRankConfig,
     rank: &mut Vec<f64>,
     next: &mut Vec<f64>,
-    scaled_bufs: Option<(&mut Vec<f64>, &mut Vec<f64>)>,
+    scaled: (&mut Vec<f64>, &mut Vec<f64>),
     teleport: &[f64],
 ) -> (usize, f64) {
     let n = rank.len();
@@ -2249,9 +2027,7 @@ pub(crate) fn drive_serial(
         Some(teleport)
     };
     let factored = matches!(op, EngineOp::Factored { .. });
-    let mut fallback_a = Vec::new();
-    let mut fallback_b = Vec::new();
-    let (scaled_rank, scaled_next) = scaled_bufs.unwrap_or((&mut fallback_a, &mut fallback_b));
+    let (scaled_rank, scaled_next) = scaled;
     if let EngineOp::Factored { inv_denom, .. } = op {
         scaled_rank.clear();
         scaled_rank.extend(rank.iter().zip(inv_denom).map(|(r, d)| r * d));
@@ -2346,22 +2122,22 @@ enum Phase {
 
 /// Shared buffers of a factored operator (see [`EngineOp::Factored`]).
 #[derive(Debug)]
-pub(crate) struct FactoredShared {
+struct FactoredShared {
     /// Destination factors `Θ_j^(−p)` (rewritten between grid points).
-    pub(crate) numer: SharedMut<f64>,
+    numer: SharedMut<f64>,
     /// Source factors `1/denom_i` (rewritten between grid points).
-    pub(crate) inv_denom: SharedMut<f64>,
+    inv_denom: SharedMut<f64>,
     /// `rank·inv_denom` ping-pong pair, flipped with the rank buffers.
-    pub(crate) scaled: [SharedMut<f64>; 2],
+    scaled: [SharedMut<f64>; 2],
 }
 
 /// Everything the pooled workers share.
-pub(crate) struct PoolShared<'a> {
+struct PoolShared<'a> {
     topo: PullTopo<'a>,
     teleport: Option<&'a [f64]>,
     in_probs: SharedMut<f64>,
     bufs: [SharedMut<f64>; 2],
-    factored: Option<FactoredShared>,
+    factored: FactoredShared,
     flip: AtomicUsize,
     phase: AtomicU8,
     params: UnsafeCell<PullParams>,
@@ -2377,11 +2153,11 @@ pub(crate) struct PoolShared<'a> {
 unsafe impl Sync for PoolShared<'_> {}
 
 impl<'a> PoolShared<'a> {
-    pub(crate) fn new(
+    fn new(
         topo: &PullTopo<'a>,
         in_probs: SharedMut<f64>,
         bufs: [SharedMut<f64>; 2],
-        factored: Option<FactoredShared>,
+        factored: FactoredShared,
         teleport: Option<&'a [f64]>,
         config: &PageRankConfig,
         workers: usize,
@@ -2411,15 +2187,9 @@ impl<'a> PoolShared<'a> {
 
     /// Release parked workers into exit. Must be called exactly once, after
     /// the last [`drive_pooled_point`].
-    pub(crate) fn shutdown(&self) {
+    fn shutdown(&self) {
         self.phase.store(Phase::Exit as u8, Ordering::Release);
         self.start.wait();
-    }
-
-    /// `true` when the final iterate currently lives in `bufs[1]` (the
-    /// workspace's `next` buffer) rather than `bufs[0]`.
-    pub(crate) fn final_in_second_buf(&self) -> bool {
-        self.flip.load(Ordering::Relaxed) == 1
     }
 
     fn sum_partials(&self) -> RangeOut {
@@ -2440,7 +2210,7 @@ impl<'a> PoolShared<'a> {
 /// Drive the iteration loop for one grid point on an already-running pool.
 /// The rank buffer (`bufs[flip]`) must hold the initial iterate; on return
 /// it holds the final scores. Returns `(iterations, residual)`.
-pub(crate) fn drive_pooled_point(
+fn drive_pooled_point(
     shared: &PoolShared<'_>,
     config: &PageRankConfig,
     topo: &PullTopo<'_>,
@@ -2505,7 +2275,7 @@ pub(crate) fn drive_pooled_point(
                         *r += (*r - o) * f;
                     }
                     if factored {
-                        let fs = shared.factored.as_ref().expect("factored shares provided");
+                        let fs = &shared.factored;
                         let scaled = fs.scaled[flip].slice_mut();
                         let invd = fs.inv_denom.slice();
                         for ((s, &r), &d) in scaled.iter_mut().zip(rank.iter()).zip(invd) {
@@ -2530,7 +2300,7 @@ pub(crate) fn drive_pooled_point(
 /// Body of one pooled worker: park on the start barrier, run the requested
 /// phase over the assigned destination range, report partials, park on the
 /// end barrier. Lives until the main thread broadcasts [`Phase::Exit`].
-pub(crate) fn worker_loop(w: usize, range: Range<usize>, shared: &PoolShared<'_>) {
+fn worker_loop(w: usize, range: Range<usize>, shared: &PoolShared<'_>) {
     loop {
         shared.start.wait();
         match shared.phase.load(Ordering::Acquire) {
@@ -2545,7 +2315,7 @@ pub(crate) fn worker_loop(w: usize, range: Range<usize>, shared: &PoolShared<'_>
                 let next = unsafe { shared.bufs[flip ^ 1].range_mut(range.clone()) };
                 let mut empty: [f64; 0] = [];
                 let (op, scaled_rank, scaled_next) = if params.factored {
-                    let f = shared.factored.as_ref().expect("factored shares provided");
+                    let f = &shared.factored;
                     // SAFETY: same protocol as the rank buffers.
                     unsafe {
                         (
@@ -2588,7 +2358,7 @@ pub(crate) fn worker_loop(w: usize, range: Range<usize>, shared: &PoolShared<'_>
                 let next = unsafe { shared.bufs[flip ^ 1].range_mut(range.clone()) };
                 let mut empty: [f64; 0] = [];
                 let scaled_next = if params.factored {
-                    let f = shared.factored.as_ref().expect("factored shares provided");
+                    let f = &shared.factored;
                     // SAFETY: same protocol as the rank buffers.
                     unsafe { f.scaled[flip ^ 1].range_mut(range.clone()) }
                 } else {
@@ -2611,6 +2381,7 @@ pub(crate) fn worker_loop(w: usize, range: Range<usize>, shared: &PoolShared<'_>
 mod tests {
     use super::*;
     use crate::pagerank::{pagerank, pagerank_with_matrix};
+    use crate::transition::TransitionMatrix;
     use d2pr_graph::builder::GraphBuilder;
     use d2pr_graph::csr::Direction;
     use d2pr_graph::generators::{barabasi_albert, erdos_renyi_nm};
@@ -2666,16 +2437,22 @@ mod tests {
     #[test]
     fn engine_personalized_teleport() {
         let g = erdos_renyi_nm(60, 240, 8).unwrap();
-        let mut t = vec![0.0; 60];
-        t[7] = 2.0;
-        t[9] = 1.0;
         let matrix = TransitionMatrix::build(&g, TransitionModel::Standard);
-        let serial = pagerank_with_matrix(&g, &matrix, &PageRankConfig::default(), Some(&t));
-        let mut engine = Engine::with_threads(&g, 3);
-        engine.set_model(TransitionModel::Standard).unwrap();
-        let r = engine.solve_with_teleport(Some(&t)).unwrap();
-        assert_close(&serial.scores, &r.scores, 1e-8);
-        assert_eq!(r.ranking()[0], 7);
+        // A weighted two-seed teleport and a seed-only one: either way the
+        // heaviest seed ranks first.
+        let mut weighted = vec![0.0; 60];
+        weighted[7] = 2.0;
+        weighted[9] = 1.0;
+        let mut seed_only = vec![0.0; 60];
+        seed_only[7] = 1.0;
+        for t in [weighted, seed_only] {
+            let serial = pagerank_with_matrix(&g, &matrix, &PageRankConfig::default(), Some(&t));
+            let mut engine = Engine::with_threads(&g, 3);
+            engine.set_model(TransitionModel::Standard).unwrap();
+            let r = engine.solve_with_teleport(Some(&t)).unwrap();
+            assert_close(&serial.scores, &r.scores, 1e-8);
+            assert_eq!(r.ranking()[0], 7);
+        }
     }
 
     #[test]
@@ -2707,24 +2484,32 @@ mod tests {
     #[test]
     fn errors_are_typed_not_panics() {
         let g = erdos_renyi_nm(10, 30, 1).unwrap();
-        let mut engine = Engine::new(&g);
-        assert!(matches!(engine.solve(), Err(SolverError::InvalidModel(_))));
-        assert!(matches!(
-            engine.set_model(TransitionModel::Blended { p: 0.0, beta: 2.0 }),
-            Err(SolverError::InvalidModel(_))
-        ));
-        engine.set_model(TransitionModel::Standard).unwrap();
-        assert!(matches!(
-            engine.solve_with_teleport(Some(&[1.0])),
-            Err(SolverError::TeleportLength {
-                got: 1,
-                expected: 10
-            })
-        ));
-        assert!(matches!(
-            engine.solve_with_teleport(Some(&[0.0; 10])),
-            Err(SolverError::TeleportMass)
-        ));
+        // Serial and pooled engines reject bad input alike.
+        for threads in [1, 4] {
+            let mut engine = Engine::with_threads(&g, threads);
+            assert_eq!(engine.pool.is_some(), threads > 1);
+            assert!(matches!(engine.solve(), Err(SolverError::InvalidModel(_))));
+            assert!(matches!(
+                engine.set_model(TransitionModel::Blended { p: 0.0, beta: 2.0 }),
+                Err(SolverError::InvalidModel(_))
+            ));
+            engine.set_model(TransitionModel::Standard).unwrap();
+            assert!(matches!(
+                engine.solve_with_teleport(Some(&[1.0])),
+                Err(SolverError::TeleportLength {
+                    got: 1,
+                    expected: 10
+                })
+            ));
+            assert!(matches!(
+                engine.solve_with_teleport(Some(&[0.0; 10])),
+                Err(SolverError::TeleportMass)
+            ));
+            assert!(matches!(
+                engine.solve_with_teleport(Some(&[-1.0; 10])),
+                Err(SolverError::TeleportEntry(_))
+            ));
+        }
         assert!(matches!(
             Engine::new(&g).set_config(PageRankConfig {
                 alpha: 1.0,
@@ -2832,7 +2617,7 @@ mod tests {
     }
 
     #[test]
-    fn resolve_warm_with_teleport_serves_personalized_fixed_point() {
+    fn warm_sweep_serves_personalized_fixed_point() {
         let g = barabasi_albert(200, 3, 21).unwrap();
         let mut t = vec![0.0; 200];
         t[5] = 3.0;
@@ -2843,9 +2628,7 @@ mod tests {
         let served = engine.solve_with_teleport(Some(&t)).unwrap();
         // Warm re-solve with the same teleport reproduces the personalized
         // fixed point; the uniform entry point would converge elsewhere.
-        let warm = engine
-            .resolve_warm_with_teleport(&served.scores, Some(&t))
-            .unwrap();
+        let warm = engine.warm_sweep(&served.scores, Some(&t)).unwrap();
         assert_close(&served.scores, &warm.scores, 1e-8);
         assert!(warm.iterations <= served.iterations);
         let uniform = engine.resolve_warm(&served.scores).unwrap();
@@ -3063,7 +2846,9 @@ mod tests {
             let g2 = dg.snapshot();
             let state = engine.into_state().patched(&g2, &outcome.delta).unwrap();
             let mut engine2 = Engine::from_state(&g2, state).unwrap();
-            let inc = engine2.resolve_incremental(&served, &outcome.delta).unwrap();
+            let inc = engine2
+                .resolve_incremental(&served, &outcome.delta)
+                .unwrap();
             assert!(inc.result.converged);
             let cold = engine2.solve().unwrap();
             assert_close(&cold.scores, &inc.result.scores, 1e-7);
@@ -3071,7 +2856,7 @@ mod tests {
     }
 
     #[test]
-    fn resolve_incremental_into_delivers_scores_in_caller_buffer() {
+    fn resolve_incremental_tracked_delivers_scores_in_caller_buffer() {
         use d2pr_graph::delta::{DeltaGraph, EdgeBatch};
         let g = barabasi_albert(400, 4, 13).unwrap();
         let model = TransitionModel::DegreeDecoupled { p: 0.5 };
@@ -3087,8 +2872,15 @@ mod tests {
         let mut engine2 = Engine::with_structure(&g2, csc2, 1).unwrap();
         engine2.set_model(model).unwrap();
         let mut buf = vec![0.0; 3]; // any previous contents are discarded
+        let mut touched = TouchedSet::new();
         let inc = engine2
-            .resolve_incremental_into(&before.scores, None, &outcome.delta, &mut buf)
+            .resolve_incremental_tracked(
+                &before.scores,
+                None,
+                &outcome.delta,
+                &mut buf,
+                &mut touched,
+            )
             .unwrap();
         assert!(
             inc.result.scores.is_empty(),

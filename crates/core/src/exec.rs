@@ -46,7 +46,6 @@
 //! | `serving.publish` | `PublishCore::publish` | the publication store sequence |
 //! | `pool.job.run` | `pool::worker_main` | one job execution on worker `arg` |
 //! | `engine.iter` | serial + pooled sweep drivers | one power iteration |
-//! | `gs.iter` | `gauss_seidel` | one Gauss–Seidel sweep |
 //! | `residual.round` | serial + parallel drains | one threshold round |
 //!
 //! The serving events carry `arg = core_id * 2 + slot` so a harness

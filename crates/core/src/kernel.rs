@@ -23,56 +23,6 @@
 /// notes.
 pub(crate) const GATHER_LANES: usize = 4;
 
-/// How many of a row's source indices to prefetch ahead of the gather.
-/// Rows average ~10 arcs on the bench graphs; prefetching the head of the
-/// *next* row while the current row computes hides most of the DRAM
-/// latency without flooding the load queue.
-const PREFETCH_ROW_CAP: usize = 24;
-
-/// Smallest gather target (in nodes) for which next-row prefetching is
-/// issued. Below this the rank vector (`8n` bytes — 512 KiB at the
-/// threshold) sits in L1/L2, every prefetch hits cache, and walking each
-/// row's sources twice is pure overhead — measured ~2× slower on a
-/// 3k-node cache-resident graph. The comparison is against a
-/// loop-invariant slice length, so the pull loops hoist it.
-const PREFETCH_MIN_NODES: usize = 1 << 16;
-
-/// Issue software prefetches for `values[src]` of up to
-/// [`PREFETCH_ROW_CAP`] sources — but only when `values` is large enough
-/// ([`PREFETCH_MIN_NODES`]) that gathers plausibly miss L2. Callers pass
-/// the *next* row's sources while gathering the current row. Compiles to
-/// nothing off x86_64.
-///
-/// The pull-kernel call sites are behind the off-by-default `prefetch`
-/// cargo feature: on the bench hosts the rank vector stays cache/L3
-/// resident and the double source-list walk measured strictly slower at
-/// both 3k and 100k nodes (DESIGN.md "Memory layout & kernel").
-///
-/// Every `src` must index into `values` (the CSC construction invariant);
-/// the pointer arithmetic below relies on it.
-#[cfg_attr(not(feature = "prefetch"), allow(dead_code))]
-#[inline(always)]
-pub(crate) fn prefetch_gather(srcs: &[u32], values: &[f64]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if values.len() < PREFETCH_MIN_NODES {
-            return;
-        }
-        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let base = values.as_ptr();
-        for &src in srcs.iter().take(PREFETCH_ROW_CAP) {
-            // SAFETY: src < values.len() (CSC sources index the rank
-            // vector), so the pointer stays in bounds; _mm_prefetch is a
-            // hint with no memory effects.
-            unsafe { _mm_prefetch(base.add(src as usize).cast::<i8>(), _MM_HINT_T0) };
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (srcs, values);
-    }
-}
-
 /// Blocked gather-sum `Σ values[srcs[k]]` — the inner loop of the factored
 /// pull kernel (per-arc weights pre-folded into `values`).
 ///
@@ -335,14 +285,7 @@ mod tests {
                 (w - naive_weighted).abs() < 1e-12,
                 "len {len}: {w} vs {naive_weighted}"
             );
-            // Prefetch is a pure hint; just exercise the below-threshold
-            // (early-return) arm.
-            prefetch_gather(&srcs, &values);
         }
-        // And the above-threshold arm: a target big enough to clear
-        // PREFETCH_MIN_NODES so the actual prefetch instructions run.
-        let big = vec![1.0f64; PREFETCH_MIN_NODES];
-        prefetch_gather(&[0, 7, (PREFETCH_MIN_NODES - 1) as u32], &big);
     }
 
     #[test]

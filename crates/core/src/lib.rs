@@ -8,13 +8,12 @@
 //! * [`kernel`] — the numerically-safe `deg^(−p)` de-coupling kernel;
 //! * [`transition`] — transition models (`Standard`, `DegreeDecoupled`,
 //!   `Blended`) and the materialized column-stochastic operator;
-//! * [`mod@pagerank`] — power-iteration solver with dangling-node policies;
+//! * [`mod@pagerank`] — the reference power iteration with dangling-node
+//!   policies: the oracle every other path is tested against;
 //! * [`personalized`] — teleport-vector constructors and PPR+D2PR;
 //! * [`robust`] — seed-noise-insensitive (robust) personalized PageRank;
 //! * [`approx`] — locality-sensitive PPR (forward push, Monte Carlo);
-//! * [`trace`] — convergence diagnostics for the power iteration;
-//! * [`parallel`] — pull-based parallel solver over a prebuilt transpose;
-//! * [`engine`] — the fused sweep engine: cached CSC operator, persistent
+//! * [`engine`] — the production solver: cached CSC operator, persistent
 //!   arc-balanced worker pool, in-place operator updates, incremental
 //!   re-solves (warm sweep / residual-localized push, auto-selected);
 //! * [`serving`] — lock-free double-buffered score publication
@@ -52,16 +51,13 @@ pub mod d2pr;
 pub mod engine;
 pub mod error;
 pub mod exec;
-pub mod gauss_seidel;
 pub mod kernel;
 pub mod pagerank;
-pub mod parallel;
 pub mod personalized;
 pub mod pool;
 pub mod residual;
 pub mod robust;
 pub mod serving;
-pub mod trace;
 pub mod transition;
 pub mod workspace;
 
@@ -76,7 +72,6 @@ pub mod prelude {
     pub use crate::personalized::{personalized_pagerank, seed_teleport};
     pub use crate::robust::{robust_personalized_pagerank, SeedAggregation};
     pub use crate::serving::{RefreshOutcome, ScoreReader, ServingEngine, ShardManager};
-    pub use crate::trace::{trace_convergence, ConvergenceTrace};
     pub use crate::transition::{TransitionMatrix, TransitionModel};
     pub use crate::workspace::Workspace;
 }

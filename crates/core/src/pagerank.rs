@@ -145,34 +145,18 @@ pub fn pagerank(
 /// Solve with an explicit teleport distribution (`None` = uniform). The
 /// teleport vector must be non-negative and sum to 1; see
 /// [`crate::personalized`] for ergonomic constructors.
+///
+/// # Panics
+/// Panics on invalid input; use [`pagerank_with_workspace`] for the
+/// `Result`-returning variant.
 pub fn pagerank_with_matrix(
     graph: &CsrGraph,
     matrix: &TransitionMatrix,
     config: &PageRankConfig,
     teleport: Option<&[f64]>,
 ) -> PageRankResult {
-    pagerank_with_matrix_init(graph, matrix, config, teleport, None)
-}
-
-/// Solve with an explicit teleport distribution and a warm-start iterate.
-///
-/// `init` (normalized internally) seeds the iteration; parameter sweeps use
-/// the previous grid point's solution, which typically saves a large share
-/// of the iterations when consecutive operators are close (see the
-/// `ablation_warm_sweep` bench). The fixed point is independent of `init`.
-///
-/// # Panics
-/// Panics on invalid input (kept for backwards compatibility); use
-/// [`pagerank_with_workspace`] for the `Result`-returning variant.
-pub fn pagerank_with_matrix_init(
-    graph: &CsrGraph,
-    matrix: &TransitionMatrix,
-    config: &PageRankConfig,
-    teleport: Option<&[f64]>,
-    init: Option<&[f64]>,
-) -> PageRankResult {
     let mut ws = Workspace::new();
-    pagerank_with_workspace(graph, matrix, config, teleport, init, &mut ws)
+    pagerank_with_workspace(graph, matrix, config, teleport, None, &mut ws)
         .unwrap_or_else(|e| panic!("{e}"))
 }
 

@@ -244,16 +244,6 @@ impl<T> SharedMut<T> {
         }
     }
 
-    /// A carrier that will only ever be read (`at_mut`/`slice_mut`/
-    /// `range_mut` must not be called on it). Used for operator values
-    /// that stay immutable for the lifetime of a pool job.
-    pub(crate) fn read_only(v: &[T]) -> Self {
-        Self {
-            ptr: v.as_ptr().cast_mut(),
-            len: v.len(),
-        }
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.len
     }

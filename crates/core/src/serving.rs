@@ -17,8 +17,8 @@
 //!   comes from a fully published generation;
 //! * [`ServingEngine::ingest`] applies an edge batch, runs
 //!   [`Engine::resolve_incremental`] **into the back buffer**
-//!   ([`Engine::resolve_incremental_into`] swaps the solver's iterate with
-//!   the buffer — no copy), then publishes it by storing the slot index:
+//!   ([`Engine::resolve_incremental_tracked`] swaps the solver's iterate
+//!   with the buffer — no copy), then publishes it by storing the slot index:
 //!   refresh latency no longer gates read availability at all.
 //!
 //! # Publication protocol and memory-ordering argument
@@ -751,7 +751,7 @@ pub struct RecoveryOutcome {
 /// Owns the [`DeltaGraph`], the engine's [`EngineState`] (whose persistent
 /// worker pool rides across every refresh), and the two publication
 /// buffers. The refreshed iterate is *swapped* into the back buffer
-/// ([`Engine::resolve_incremental_into`]) and published with one atomic
+/// ([`Engine::resolve_incremental_tracked`]) and published with one atomic
 /// store — steady-state serving copies no score vector at all.
 ///
 /// ```
@@ -1115,20 +1115,25 @@ impl ServingEngine {
             let replayed_inserted_arcs = delta.inserted.len();
             let replayed_deleted_arcs = delta.deleted.len();
             let mut out = Vec::new();
+            // The recovered index is rebuilt from scratch below, so the
+            // repair frontier is not needed.
+            let mut touched = TouchedSet::new();
             let inc = match &perm {
-                None => engine.resolve_incremental_into(
+                None => engine.resolve_incremental_tracked(
                     &scores,
                     teleport.as_deref(),
                     &delta,
                     &mut out,
+                    &mut touched,
                 )?,
                 Some(p) => {
                     p.permute_values(&scores, &mut scratch.internal_prev);
-                    let inc = engine.resolve_incremental_into(
+                    let inc = engine.resolve_incremental_tracked(
                         &scratch.internal_prev,
                         teleport.as_deref(),
                         &delta,
                         &mut scratch.internal_next,
+                        &mut touched,
                     )?;
                     p.unpermute_values(&scratch.internal_next, &mut out);
                     inc
@@ -1408,7 +1413,10 @@ impl ServingEngine {
         // Without this, the first ingest *after* a growth batch would
         // fail validation mid-refresh and poison the engine.
         if let Some(t) = &mut self.teleport {
-            t.extend(std::iter::repeat_n(0.0, applied.delta.added_nodes() as usize));
+            t.extend(std::iter::repeat_n(
+                0.0,
+                applied.delta.added_nodes() as usize,
+            ));
         }
         // Tombstone bookkeeping in external ids: removed nodes join the
         // set; any node an effective insert touches revives. (The two can
@@ -1794,13 +1802,8 @@ impl ShardManager {
         if k == 0 {
             return Vec::new();
         }
-        let partials: Vec<Vec<(u32, f64)>> =
-            self.shards.iter().map(|s| s.top_k(k)).collect();
-        let entry = |shard: usize, (node, score): (u32, f64)| GlobalTopEntry {
-            score,
-            shard,
-            node,
-        };
+        let partials: Vec<Vec<(u32, f64)>> = self.shards.iter().map(|s| s.top_k(k)).collect();
+        let entry = |shard: usize, (node, score): (u32, f64)| GlobalTopEntry { score, shard, node };
         // Max-heap of per-shard cursors on global goodness (score desc,
         // shard asc, node asc).
         let mut heap: BinaryHeap<GlobalTopEntry> = partials
@@ -2155,7 +2158,9 @@ mod tests {
         assert_eq!(out.inserted_arcs, 1);
         // Served scores match a cold solve of the evolved weighted graph.
         let evolved = serving.delta_graph().snapshot();
-        let mut engine = Engine::with_threads(&evolved, 1).with_config(tight()).unwrap();
+        let mut engine = Engine::with_threads(&evolved, 1)
+            .with_config(tight())
+            .unwrap();
         engine.set_model(MODEL).unwrap();
         let direct = engine.solve().unwrap();
         let mut snap = Vec::new();
@@ -2212,10 +2217,7 @@ mod tests {
         grown_t.resize(82, 0.0);
         let mut engine = Engine::with_threads(&snap, 1).with_config(tight()).unwrap();
         engine.set_model(MODEL).unwrap();
-        let mut cold = engine
-            .solve_with_teleport(Some(&grown_t))
-            .unwrap()
-            .scores;
+        let mut cold = engine.solve_with_teleport(Some(&grown_t)).unwrap().scores;
         cold[2] = 0.0;
         let reader = serving.reader();
         let mut observed = Vec::new();

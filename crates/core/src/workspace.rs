@@ -5,9 +5,9 @@
 //! distribution. Allocating those per call is wasteful in exactly the place
 //! the paper's experiments hammer hardest — parameter sweeps running
 //! hundreds of solves on one graph. A [`Workspace`] owns the buffers and is
-//! threaded through [`mod@crate::pagerank`], [`crate::parallel`],
-//! [`crate::gauss_seidel`], [`crate::engine`], and [`crate::d2pr::D2pr`];
-//! warmed up, repeated solves perform no buffer allocations at all.
+//! threaded through [`mod@crate::pagerank`], [`crate::engine`], and
+//! [`crate::d2pr::D2pr`]; warmed up, repeated solves perform no buffer
+//! allocations at all.
 
 use crate::error::SolverError;
 use std::collections::VecDeque;

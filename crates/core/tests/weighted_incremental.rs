@@ -8,7 +8,7 @@
 //! single-edge re-weight at the 1e-6 serving tolerance takes the
 //! localized path and still matches a tight cold solve to ≤ 1e-7 L1.
 
-use d2pr_core::engine::{Engine, ResolveMode};
+use d2pr_core::engine::{Engine, ResolveMode, TouchedSet};
 use d2pr_core::pagerank::{DanglingPolicy, PageRankConfig};
 use d2pr_core::transition::TransitionModel;
 use d2pr_graph::builder::GraphBuilder;
@@ -113,6 +113,8 @@ fn assert_incremental_matches_cold(
     let mut dg = DeltaGraph::new(base).expect("weighted base");
     let mut teleport = teleport;
     let (mut prev, mut state);
+    let mut next = Vec::new();
+    let mut touched = TouchedSet::new();
     {
         let mut engine = Engine::with_threads(&snapshot, 1)
             .with_config(config)
@@ -138,7 +140,13 @@ fn assert_incremental_matches_cold(
             t.resize(new_snapshot.num_nodes(), 0.0);
         }
         let inc = engine
-            .resolve_incremental_with_teleport(&prev, teleport.as_deref(), &outcome.delta)
+            .resolve_incremental_tracked(
+                &prev,
+                teleport.as_deref(),
+                &outcome.delta,
+                &mut next,
+                &mut touched,
+            )
             .expect("incremental refresh");
         let cold = engine
             .solve_with_teleport(teleport.as_deref())
@@ -146,7 +154,7 @@ fn assert_incremental_matches_cold(
         let l1: f64 = cold
             .scores
             .iter()
-            .zip(&inc.result.scores)
+            .zip(&next)
             .map(|(a, b)| (a - b).abs())
             .sum();
         prop_assert!(
@@ -154,7 +162,7 @@ fn assert_incremental_matches_cold(
             "batch {i} ({:?}): incremental diverges from cold by {l1:.3e}",
             inc.mode
         );
-        prev = inc.result.scores;
+        std::mem::swap(&mut prev, &mut next);
         state = engine.into_state();
         snapshot = new_snapshot;
     }

@@ -423,12 +423,16 @@ fn run(opts: &Options) -> Result<(), String> {
             // Either flag alone opts into the ranked mix: a bare
             // --query-mix ranks at the default k = 100, a bare --top-k
             // ranks 10% of reads.
-            top_k: opts
-                .top_k
-                .unwrap_or(if opts.query_mix.is_some() { 100 } else { base.top_k }),
-            query_mix: opts
-                .query_mix
-                .unwrap_or(if opts.top_k.is_some() { 0.1 } else { base.query_mix }),
+            top_k: opts.top_k.unwrap_or(if opts.query_mix.is_some() {
+                100
+            } else {
+                base.top_k
+            }),
+            query_mix: opts.query_mix.unwrap_or(if opts.top_k.is_some() {
+                0.1
+            } else {
+                base.query_mix
+            }),
             ..base
         };
         eprintln!(

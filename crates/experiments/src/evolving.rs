@@ -32,11 +32,11 @@ use d2pr_core::engine::{default_threads, Engine, ResolveMode};
 use d2pr_core::error::UpdateError;
 use d2pr_core::pagerank::PageRankConfig;
 use d2pr_core::transition::TransitionModel;
+use d2pr_datagen::evolving::EvolvingRatingsConfig;
 use d2pr_graph::csr::CsrGraph;
 use d2pr_graph::delta::{DeltaGraph, EdgeBatch};
 use d2pr_graph::error::GraphError;
 use d2pr_graph::generators::barabasi_albert;
-use d2pr_datagen::evolving::EvolvingRatingsConfig;
 use d2pr_graph::transpose::CscStructure;
 use d2pr_graph::NodeId;
 use rand::rngs::StdRng;
@@ -303,8 +303,16 @@ pub fn run_evolving(cfg: &EvolvingConfig) -> Result<EvolvingReport, UpdateError>
             batches: cfg.batches,
             ratings_per_batch: mutations / 2,
             reratings_per_batch: mutations - mutations / 2,
-            arrivals_per_batch: if cfg.node_churn { (mutations / 4).max(2) } else { 0 },
-            departures_per_batch: if cfg.node_churn { (mutations / 8).max(1) } else { 0 },
+            arrivals_per_batch: if cfg.node_churn {
+                (mutations / 4).max(2)
+            } else {
+                0
+            },
+            departures_per_batch: if cfg.node_churn {
+                (mutations / 8).max(1)
+            } else {
+                0
+            },
             weighted: cfg.weighted,
             noise: 0.3,
             seed: rng.gen(),
@@ -409,12 +417,6 @@ pub fn evolving_report(r: &EvolvingReport) -> TextTable {
         "divergence",
     ]);
     for s in &r.steps {
-        let mode = match s.mode_used {
-            ResolveMode::WarmSweep => "sweep",
-            ResolveMode::LocalizedPush => "push",
-            ResolveMode::HybridPushSweep => "hybrid",
-            ResolveMode::DenseGaussSeidel => "gs",
-        };
         t.push_row(vec![
             s.batch.to_string(),
             s.inserted_arcs.to_string(),
@@ -423,7 +425,7 @@ pub fn evolving_report(r: &EvolvingReport) -> TextTable {
             s.grown_nodes.to_string(),
             s.removed_nodes.to_string(),
             if s.compacted { "yes" } else { "" }.to_string(),
-            mode.to_string(),
+            s.mode_used.label().to_string(),
             s.frontier.to_string(),
             s.cold_iterations.to_string(),
             s.warm_iterations.to_string(),

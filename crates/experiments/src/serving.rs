@@ -439,13 +439,7 @@ pub fn recover_report(reports: &[RecoveryReport]) -> TextTable {
         "orphaned",
     ]);
     for (i, r) in reports.iter().enumerate() {
-        let mode = match r.outcome.mode {
-            None => "-",
-            Some(ResolveMode::WarmSweep) => "sweep",
-            Some(ResolveMode::LocalizedPush) => "push",
-            Some(ResolveMode::HybridPushSweep) => "hybrid",
-            Some(ResolveMode::DenseGaussSeidel) => "gs",
-        };
+        let mode = r.outcome.mode.map_or("-", ResolveMode::label);
         t.push_row(vec![
             i.to_string(),
             r.snapshot_generation.to_string(),
@@ -480,17 +474,11 @@ pub fn serve_report(r: &ServeReport) -> TextTable {
         "reads/ms",
     ]);
     for s in &r.steps {
-        let mode = match s.mode_used {
-            ResolveMode::WarmSweep => "sweep",
-            ResolveMode::LocalizedPush => "push",
-            ResolveMode::HybridPushSweep => "hybrid",
-            ResolveMode::DenseGaussSeidel => "gs",
-        };
         t.push_row(vec![
             s.batch.to_string(),
             s.inserted_arcs.to_string(),
             s.deleted_arcs.to_string(),
-            mode.to_string(),
+            s.mode_used.label().to_string(),
             s.frontier.to_string(),
             format!("{:.2}", s.refresh_ms),
             s.generation.to_string(),

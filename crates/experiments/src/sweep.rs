@@ -9,7 +9,7 @@
 //! iteration of every `(β, α, p)` grid point.
 
 use d2pr_core::d2pr::D2pr;
-use d2pr_core::engine::{Engine, SweepKernel};
+use d2pr_core::engine::Engine;
 use d2pr_core::pagerank::PageRankConfig;
 use d2pr_core::transition::TransitionModel;
 use d2pr_graph::csr::CsrGraph;
@@ -52,11 +52,6 @@ pub struct SweepConfig {
     pub max_iterations: usize,
     /// Worker threads for the engine (`0` = machine parallelism).
     pub threads: usize,
-    /// Kernel of the engine's single-partition sweep path
-    /// ([`SweepKernel::GaussSeidel`] halves iteration counts on
-    /// well-ordered graphs; pooled sweeps always pull — see the engine
-    /// docs).
-    pub kernel: SweepKernel,
 }
 
 impl Default for SweepConfig {
@@ -68,7 +63,6 @@ impl Default for SweepConfig {
             tolerance: 1e-9,
             max_iterations: 200,
             threads: 0,
-            kernel: SweepKernel::Pull,
         }
     }
 }
@@ -108,7 +102,7 @@ impl SweepConfig {
         } else {
             self.threads
         };
-        let mut engine = Engine::with_threads(graph, threads).with_kernel(self.kernel);
+        let mut engine = Engine::with_threads(graph, threads);
         let mut out = Vec::with_capacity(self.ps.len() * self.alphas.len() * betas.len());
         for &beta in betas {
             let models: Vec<TransitionModel> = self

@@ -61,8 +61,8 @@ const TOLERANCE: f64 = 1e-9;
 pub struct ScenarioConfig {
     /// Drives the schedule RNG, the graph, and every knob below.
     pub seed: u64,
-    /// Graph size (spans both the dense Gauss–Seidel refresh path and the
-    /// localized-operator path, which switch at 128 nodes).
+    /// Graph size (a small mix; every size refreshes through the same
+    /// push, hybrid or warm-sweep path).
     pub nodes: usize,
     /// Worker threads per shard engine (1 = serial refresh, 2 = pooled).
     pub threads: usize,

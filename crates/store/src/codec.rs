@@ -189,8 +189,8 @@ impl LogRecord {
     /// # Errors
     /// A weight channel whose length disagrees with the insert list is
     /// [`CorruptKind::Malformed`] — replaying it would assign weights to
-    /// the wrong arcs ([`LogRecord::decode`] never produces one, but the
-    /// record type is constructible by hand).
+    /// the wrong arcs (the log decoder never produces one, but the record
+    /// type is constructible by hand).
     pub fn to_batch(&self) -> Result<EdgeBatch, CorruptFile> {
         if let Some(w) = &self.weights {
             if w.len() != self.inserts.len() {

@@ -35,14 +35,17 @@ fn arb_records() -> impl Strategy<Value = Vec<RawRecord>> {
 fn materialize(base: u64, raw: &[RawRecord]) -> Vec<LogRecord> {
     raw.iter()
         .enumerate()
-        .map(|(i, (inserts, weighted, deletes, new_nodes, removed))| LogRecord {
-            generation: base + 1 + i as u64,
-            weights: weighted.then(|| (0..inserts.len()).map(|k| k as f64 * 0.5 + 0.25).collect()),
-            inserts: inserts.clone(),
-            deletes: deletes.clone(),
-            new_nodes: *new_nodes,
-            removed_nodes: removed.clone(),
-        })
+        .map(
+            |(i, (inserts, weighted, deletes, new_nodes, removed))| LogRecord {
+                generation: base + 1 + i as u64,
+                weights: weighted
+                    .then(|| (0..inserts.len()).map(|k| k as f64 * 0.5 + 0.25).collect()),
+                inserts: inserts.clone(),
+                deletes: deletes.clone(),
+                new_nodes: *new_nodes,
+                removed_nodes: removed.clone(),
+            },
+        )
         .collect()
 }
 

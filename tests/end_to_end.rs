@@ -2,8 +2,7 @@
 //! evaluation, exercising the public API exactly as a downstream user would.
 
 use d2pr::core::pagerank::{pagerank, PageRankConfig};
-use d2pr::core::parallel::pagerank_parallel_from_graph;
-use d2pr::core::TransitionModel;
+use d2pr::core::{Engine, TransitionModel};
 use d2pr::datagen::ratings::{generate_ratings, mean_container_rating, train_test_split};
 use d2pr::graph::io::{from_snapshot, read_edge_list, to_snapshot, write_edge_list};
 use d2pr::graph::stats::degree_stats;
@@ -49,7 +48,9 @@ fn serial_and_parallel_agree_on_generated_worlds() {
     for p in [-1.0, 0.0, 1.5] {
         let model = TransitionModel::DegreeDecoupled { p };
         let serial = pagerank(&g, model, &cfg);
-        let parallel = pagerank_parallel_from_graph(&g, model, &cfg, 4).expect("valid inputs");
+        let parallel = Engine::with_threads(&g, 4)
+            .solve_model(model)
+            .expect("valid inputs");
         for (x, y) in serial.scores.iter().zip(&parallel.scores) {
             assert!((x - y).abs() < 1e-8, "p={p}: {x} vs {y}");
         }

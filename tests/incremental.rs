@@ -5,7 +5,7 @@
 //! snapshot to 1e-8, across random graphs, churn batches, dangling
 //! policies, transition models, and thread counts.
 
-use d2pr_core::engine::{Engine, EngineState, ResolveMode, SweepKernel};
+use d2pr_core::engine::{Engine, EngineState, ResolveMode};
 use d2pr_core::pagerank::{DanglingPolicy, PageRankConfig};
 use d2pr_core::transition::TransitionModel;
 use d2pr_graph::builder::GraphBuilder;
@@ -494,78 +494,50 @@ fn empty_delta_patch_is_identity() {
     assert!(l1 < 1e-8, "empty delta moved the solution by {l1:.3e}");
 }
 
-/// Satellite acceptance: the Gauss–Seidel kernel wired into the engine's
-/// single-partition sweep path matches the pull kernel to 1e-8 — across
-/// dangling policies, personalized teleports, warm-start chaining, and a
-/// dangling-heavy directed graph.
+/// Tiny graphs (≤ 128 nodes) refresh through the same localized path as
+/// every other graph: a forced single-edge `resolve_localized` reports a
+/// push (or a push with the sweep finisher) under every dangling policy
+/// and lands on the cold solve.
 #[test]
-fn gauss_seidel_kernel_matches_pull_kernel() {
-    let models: Vec<TransitionModel> = [-1.0, 0.0, 0.5, 1.0]
-        .iter()
-        .map(|&p| TransitionModel::DegreeDecoupled { p })
-        .collect();
-    // A graph with dangling tails plus a BA graph without.
-    let mut b = GraphBuilder::new(Direction::Directed, 120);
-    for v in 0..100u32 {
-        b.add_edge(v, v + 1);
-        b.add_edge(v, (v * 7 + 3) % 120);
+fn tiny_graphs_refresh_through_the_push_path() {
+    let ba = barabasi_albert(96, 3, 5).unwrap();
+    // RedistributeTeleport and SelfLoop run on the BA graph plus four
+    // dangling sinks; Renormalize stays localized only without dangling
+    // nodes, so it runs on the plain BA graph.
+    let mut b = GraphBuilder::new(Direction::Directed, 100);
+    for (u, v) in ba.arcs() {
+        b.add_edge(u, v);
     }
-    let dangling_graph = b.build().unwrap();
-    let ba = barabasi_albert(300, 3, 17).unwrap();
-    for g in [&dangling_graph, &ba] {
-        for policy in [
-            DanglingPolicy::RedistributeTeleport,
-            DanglingPolicy::SelfLoop,
-            DanglingPolicy::Renormalize,
-        ] {
-            let config = PageRankConfig {
-                dangling: policy,
-                ..tight_config()
-            };
-            let mut pull = Engine::with_threads(g, 1).with_config(config).unwrap();
-            let mut gs = Engine::with_threads(g, 1)
-                .with_config(config)
-                .unwrap()
-                .with_kernel(SweepKernel::GaussSeidel);
-            assert_eq!(gs.kernel(), SweepKernel::GaussSeidel);
-            let rp = pull.sweep(&models, true).unwrap();
-            let rg = gs.sweep(&models, true).unwrap();
-            for ((a, b), model) in rp.iter().zip(&rg).zip(&models) {
-                assert!(a.converged && b.converged, "{policy:?} {model:?}");
-                let l1: f64 = a
-                    .scores
-                    .iter()
-                    .zip(&b.scores)
-                    .map(|(x, y)| (x - y).abs())
-                    .sum();
-                assert!(
-                    l1 < 1e-8,
-                    "{policy:?} {model:?}: kernel divergence {l1:.3e}"
-                );
-            }
+    for k in 0..4u32 {
+        b.add_edge(k * 7, 96 + k);
+    }
+    let with_sinks = b.build().unwrap();
+    let model = TransitionModel::DegreeDecoupled { p: 0.5 };
+    for (g, policy) in [
+        (&with_sinks, DanglingPolicy::RedistributeTeleport),
+        (&with_sinks, DanglingPolicy::SelfLoop),
+        (&ba, DanglingPolicy::Renormalize),
+    ] {
+        assert!(g.num_nodes() <= 128);
+        let v = (1..g.num_nodes() as u32)
+            .find(|&v| !g.has_arc(0, v))
+            .expect("node 0 has a non-neighbor");
+        let mut batch = EdgeBatch::new();
+        batch.insert(0, v);
+        let config = PageRankConfig {
+            dangling: policy,
+            ..tight_config()
+        };
+        for threads in [1, 2] {
+            let (cold, _, local, mode) = churn_roundtrip(g.clone(), &batch, model, config, threads);
+            assert!(
+                matches!(
+                    mode,
+                    ResolveMode::LocalizedPush | ResolveMode::HybridPushSweep
+                ),
+                "{policy:?}, {threads} threads: refreshed by {mode:?}"
+            );
+            assert_close(&cold, &local, 1e-8);
         }
     }
-    // Personalized teleport parity.
-    let mut t = vec![0.0; 300];
-    t[7] = 2.0;
-    t[11] = 1.0;
-    let model = TransitionModel::DegreeDecoupled { p: 0.5 };
-    let mut pull = Engine::with_threads(&ba, 1)
-        .with_config(tight_config())
-        .unwrap();
-    pull.set_model(model).unwrap();
-    let rp = pull.solve_with_teleport(Some(&t)).unwrap();
-    let mut gs = Engine::with_threads(&ba, 1)
-        .with_config(tight_config())
-        .unwrap()
-        .with_kernel(SweepKernel::GaussSeidel);
-    gs.set_model(model).unwrap();
-    let rg = gs.solve_with_teleport(Some(&t)).unwrap();
-    let l1: f64 = rp
-        .scores
-        .iter()
-        .zip(&rg.scores)
-        .map(|(x, y)| (x - y).abs())
-        .sum();
-    assert!(l1 < 1e-8, "personalized kernel divergence {l1:.3e}");
 }

@@ -3,8 +3,7 @@
 
 use d2pr::core::kernel::DegreeKernel;
 use d2pr::core::pagerank::{pagerank, PageRankConfig};
-use d2pr::core::parallel::pagerank_parallel_from_graph;
-use d2pr::core::{TransitionMatrix, TransitionModel};
+use d2pr::core::{Engine, TransitionMatrix, TransitionModel};
 use d2pr::prelude::*;
 use proptest::prelude::*;
 
@@ -59,7 +58,8 @@ proptest! {
         prop_assert!(m.arc_probs().iter().all(|&x| x.is_finite() && x >= 0.0));
     }
 
-    /// Serial push and parallel pull solvers agree everywhere.
+    /// The reference push iteration and the engine's pull (serial or
+    /// pooled) agree everywhere.
     #[test]
     fn parallel_matches_serial(
         g in arb_graph(30, 100, true),
@@ -69,7 +69,9 @@ proptest! {
         let cfg = PageRankConfig::default();
         let model = TransitionModel::DegreeDecoupled { p };
         let serial = pagerank(&g, model, &cfg);
-        let par = pagerank_parallel_from_graph(&g, model, &cfg, threads).expect("valid inputs");
+        let par = Engine::with_threads(&g, threads)
+            .solve_model(model)
+            .expect("valid inputs");
         for (a, b) in serial.scores.iter().zip(&par.scores) {
             prop_assert!((a - b).abs() < 1e-7, "{a} vs {b}");
         }

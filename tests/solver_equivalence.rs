@@ -1,14 +1,11 @@
-//! Cross-solver equivalence on generated worlds: the power iteration,
-//! Gauss–Seidel, parallel pull, forward push and Monte-Carlo estimators all
-//! target the same fixed point — so do their rankings, up to each method's
-//! accuracy class.
+//! Cross-solver equivalence on generated worlds: the reference power
+//! iteration, the serial and pooled engine, forward push and Monte-Carlo
+//! estimators all target the same fixed point — so do their rankings, up
+//! to each method's accuracy class.
 
 use d2pr::core::approx::{forward_push, monte_carlo_ppr};
-use d2pr::core::gauss_seidel::pagerank_gauss_seidel;
 use d2pr::core::pagerank::{pagerank_with_matrix, PageRankConfig};
-use d2pr::core::parallel::{pagerank_parallel, TransposedMatrix};
-use d2pr::core::trace::trace_convergence;
-use d2pr::core::{TransitionMatrix, TransitionModel};
+use d2pr::core::{Engine, TransitionMatrix, TransitionModel};
 use d2pr::prelude::*;
 
 fn world_graph() -> CsrGraph {
@@ -37,33 +34,18 @@ fn all_exact_solvers_agree_on_a_world() {
         let model = TransitionModel::DegreeDecoupled { p };
         let matrix = TransitionMatrix::build(&g, model);
         let power = pagerank_with_matrix(&g, &matrix, &tight(), None);
-        let gs = pagerank_gauss_seidel(&g, &matrix, &tight());
-        let transpose = TransposedMatrix::build(&g, &matrix);
-        let par = pagerank_parallel(&transpose, &tight(), None, 4).expect("valid inputs");
-        for i in 0..g.num_nodes() {
-            assert!(
-                (power.scores[i] - gs.scores[i]).abs() < 1e-8,
-                "p={p} node {i}"
-            );
-            assert!(
-                (power.scores[i] - par.scores[i]).abs() < 1e-8,
-                "p={p} node {i}"
-            );
+        for threads in [1, 4] {
+            let mut engine = Engine::with_threads(&g, threads)
+                .with_config(tight())
+                .expect("valid config");
+            let fast = engine.solve_model(model).expect("valid inputs");
+            for i in 0..g.num_nodes() {
+                assert!(
+                    (power.scores[i] - fast.scores[i]).abs() < 1e-8,
+                    "p={p} threads={threads} node {i}"
+                );
+            }
         }
-    }
-}
-
-#[test]
-fn trace_final_scores_match_solver() {
-    let g = world_graph();
-    let matrix = TransitionMatrix::build(&g, TransitionModel::Standard);
-    let cfg = tight();
-    let trace = trace_convergence(&g, &matrix, &cfg);
-    let solved = pagerank_with_matrix(&g, &matrix, &cfg, None);
-    assert!(trace.converged);
-    assert_eq!(trace.iterations(), solved.iterations);
-    for (a, b) in trace.scores.iter().zip(&solved.scores) {
-        assert!((a - b).abs() < 1e-12);
     }
 }
 

@@ -30,7 +30,16 @@ const POLICIES: [DanglingPolicy; 3] = [
 /// index capacity (indexed path, `k <= head`), plus `k` past the head and
 /// past `n` (scan fallback path), deduplicated.
 fn k_sweep(cap: usize, n: usize) -> Vec<usize> {
-    let mut ks = vec![1, 2, cap.saturating_sub(1).max(1), cap, cap + 1, 2 * cap, n, n + 3];
+    let mut ks = vec![
+        1,
+        2,
+        cap.saturating_sub(1).max(1),
+        cap,
+        cap + 1,
+        2 * cap,
+        n,
+        n + 3,
+    ];
     ks.sort_unstable();
     ks.dedup();
     ks
