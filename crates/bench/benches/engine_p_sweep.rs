@@ -80,7 +80,7 @@ mod seed_baseline {
     struct SeedTranspose {
         in_offsets: Vec<usize>,
         in_sources: Vec<u32>,
-        in_probs: Vec<f64>,
+        csc_probs: Vec<f64>,
         dangling: Vec<u32>,
         num_nodes: usize,
     }
@@ -100,14 +100,14 @@ mod seed_baseline {
             let in_offsets = counts.clone();
             let mut cursor = counts;
             let mut in_sources = vec![0u32; targets.len()];
-            let mut in_probs = vec![0.0f64; targets.len()];
+            let mut csc_probs = vec![0.0f64; targets.len()];
             for v in 0..n {
                 for k in offsets[v]..offsets[v + 1] {
                     let t = targets[k] as usize;
                     let slot = cursor[t];
                     cursor[t] += 1;
                     in_sources[slot] = v as u32;
-                    in_probs[slot] = probs[k];
+                    csc_probs[slot] = probs[k];
                 }
             }
             let dangling = (0..n as u32)
@@ -116,7 +116,7 @@ mod seed_baseline {
             Self {
                 in_offsets,
                 in_sources,
-                in_probs,
+                csc_probs,
                 dangling,
                 num_nodes: n,
             }
@@ -150,14 +150,14 @@ mod seed_baseline {
                     let start = ci * chunk;
                     let in_offsets = &transpose.in_offsets;
                     let in_sources = &transpose.in_sources;
-                    let in_probs = &transpose.in_probs;
+                    let csc_probs = &transpose.csc_probs;
                     handles.push(scope.spawn(move || {
                         let mut local_residual = 0.0;
                         for (off, slot) in slice.iter_mut().enumerate() {
                             let j = start + off;
                             let mut acc = (1.0 - alpha) * uniform + alpha * dangling_mass * uniform;
                             for k in in_offsets[j]..in_offsets[j + 1] {
-                                acc += alpha * in_probs[k] * rank_ref[in_sources[k] as usize];
+                                acc += alpha * csc_probs[k] * rank_ref[in_sources[k] as usize];
                             }
                             local_residual += (acc - rank_ref[j]).abs();
                             *slot = acc;

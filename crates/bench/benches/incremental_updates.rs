@@ -24,8 +24,8 @@
 //!   patch (`CscStructure::patched`), engine rebuild, `O(E)` operator
 //!   build, warm-started full sweep (`Engine::resolve_warm`).
 //! * **localized_incremental** — the PR-3 serving pipeline: engine-state
-//!   handoff (`EngineState::patched` — structurally patched transpose,
-//!   frontier-patched factored operator) plus the auto-selected
+//!   handoff (`EngineState::patched` — patched transpose,
+//!   frontier-patched operator tables) plus the auto-selected
 //!   residual-localized push (`Engine::resolve_incremental`).
 //!
 //! All strategies run the same model and tolerance and must agree on the
@@ -92,7 +92,7 @@ fn solver_config() -> PageRankConfig {
 struct SeedTranspose {
     in_offsets: Vec<usize>,
     in_sources: Vec<u32>,
-    in_probs: Vec<f64>,
+    csc_probs: Vec<f64>,
     dangling: Vec<u32>,
     num_nodes: usize,
 }
@@ -112,14 +112,14 @@ impl SeedTranspose {
         let in_offsets = counts.clone();
         let mut cursor = counts;
         let mut in_sources = vec![0u32; targets.len()];
-        let mut in_probs = vec![0.0f64; targets.len()];
+        let mut csc_probs = vec![0.0f64; targets.len()];
         for v in 0..n {
             for k in offsets[v]..offsets[v + 1] {
                 let t = targets[k] as usize;
                 let slot = cursor[t];
                 cursor[t] += 1;
                 in_sources[slot] = v as u32;
-                in_probs[slot] = probs[k];
+                csc_probs[slot] = probs[k];
             }
         }
         let dangling = (0..n as u32)
@@ -128,7 +128,7 @@ impl SeedTranspose {
         Self {
             in_offsets,
             in_sources,
-            in_probs,
+            csc_probs,
             dangling,
             num_nodes: n,
         }
@@ -162,14 +162,14 @@ fn seed_parallel_solve(
                 let start = ci * chunk;
                 let in_offsets = &transpose.in_offsets;
                 let in_sources = &transpose.in_sources;
-                let in_probs = &transpose.in_probs;
+                let csc_probs = &transpose.csc_probs;
                 handles.push(scope.spawn(move || {
                     let mut local_residual = 0.0;
                     for (off, slot) in slice.iter_mut().enumerate() {
                         let j = start + off;
                         let mut acc = (1.0 - alpha) * uniform + alpha * dangling_mass * uniform;
                         for k in in_offsets[j]..in_offsets[j + 1] {
-                            acc += alpha * in_probs[k] * rank_ref[in_sources[k] as usize];
+                            acc += alpha * csc_probs[k] * rank_ref[in_sources[k] as usize];
                         }
                         local_residual += (acc - rank_ref[j]).abs();
                         *slot = acc;
@@ -416,8 +416,8 @@ fn warm_incremental(
 
 /// The residual-localized serving pipeline (PR 3): carry the engine state
 /// across batches ([`Engine::into_state`]/[`EngineState::patched`] — the
-/// transpose is patched *structurally*, no `O(E)` permutation rebuild, and
-/// the factored operator is repaired only at the delta's frontier), then
+/// transpose is patched and the operator tables are repaired only at the
+/// delta's frontier, with no per-arc operator to rebuild), then
 /// auto-select localized push vs warm sweep per batch
 /// (`Engine::resolve_incremental`).
 fn localized_incremental(
@@ -693,8 +693,8 @@ fn incremental_updates(c: &mut Criterion) {
     );
 
     // Fourth regime: weighted trickle — half-star re-ratings on a
-    // weighted base under the paper's Blended beta = 0.5 model (arc-mode
-    // operator reads the weights). Pure re-weights change no structure,
+    // weighted base under the paper's Blended beta = 0.5 model (its
+    // connection term reads the weights). Pure re-weights change no structure,
     // so the localized path must hold: the delta's (old, new) weights
     // let it rebuild the pre-batch operator columns and seed the
     // residual exactly.
@@ -783,7 +783,7 @@ fn incremental_updates(c: &mut Criterion) {
             "  \"weighted_trickle_reweight_blended_beta05\": {},\n",
             "  \"localized_trickle_serving_ms_by_threads\": {},\n",
             "  \"note\": \"localized_incremental is the PR-3 serving pipeline: engine-state ",
-            "handoff (structurally patched transpose, frontier-patched factored operator) ",
+            "handoff (patched transpose, frontier-patched operator tables) ",
             "plus the auto-selected residual-localized push with sweep fallbacks. ",
             "warm_incremental is the PR-2 pipeline (full transpose patch + engine rebuild + ",
             "O(E) operator build + warm full sweep). Iteration ratios at matched tolerance ",

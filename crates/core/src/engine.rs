@@ -1,28 +1,30 @@
-//! The fused pull-engine: one operator build, one worker pool, zero
+//! The fused pull-engine: one operator form, one worker pool, zero
 //! per-sweep-point allocations.
 //!
 //! The paper's experiments are parameter sweeps — dozens of PageRank solves
-//! over a grid of `p` (and `α`, `β`) on a fixed graph. The original solver
-//! stack paid three avoidable costs on every grid point:
+//! over a grid of `p` (and `α`, `β`) on a fixed graph. [`Engine`] builds the
+//! structural transpose ([`CscStructure`]) and the arc-balanced destination
+//! partitions once per graph, parks one set of worker threads on barriers
+//! and reuses them across *all* iterations of *all* grid points.
 //!
-//! 1. **Operator rebuilt twice** — a CSR-ordered
-//!    [`TransitionMatrix`](crate::transition::TransitionMatrix) was
-//!    materialized, then re-scattered into a fresh transposed copy.
-//! 2. **Threads spawned per iteration** — the old parallel solver created
-//!    and joined OS threads on *every* power iteration.
-//! 3. **Node-count partitions** — destination ranges were split by node
-//!    count, so on the power-law graphs the paper studies one unlucky
-//!    thread owned the hubs and the rest idled.
+//! Every model runs one **factored operator**: the blend of §3.2.3,
+//! `T_B = β·T_conn + (1−β)·T_D`, is a sum of per-node tables and the arc
+//! weights,
 //!
-//! [`Engine`] fuses all three away. Per graph it builds the structural
-//! transpose ([`CscStructure`]) once, including the CSR→CSC arc permutation
-//! and arc-balanced destination partitions. Per sweep point it recomputes
-//! only the probability values, in place, through the cached permutation —
-//! zero heap allocations once warm. Per sweep it parks one set of worker
-//! threads on barriers and reuses them across *all* iterations of *all*
-//! grid points. All three [`DanglingPolicy`] variants and personalized
-//! teleport vectors are supported, and every entry point returns
-//! [`SolverError`] instead of panicking. See `DESIGN.md` for the layout.
+//! ```text
+//! T_B(j, i) = numer[j]·inv_denom[i] + w(i→j)·conn[i]
+//! numer[j] = Θ_j^(−p)   inv_denom[i] = (1−β)/Σ_{t∈N(i)} numer[t]   conn[i] = β/Θ_i
+//! ```
+//!
+//! (0 at dangling sources). A model update is one `exp` per node plus one
+//! pass over the arcs, a pull gathers each term once from the iterate
+//! scaled by its source factor, and a term whose coefficient is 0 does not
+//! run. No per-arc operator value exists, so a serving refresh repairs the
+//! tables at the delta's frontier for every model
+//! ([`EngineState::patched`]). All three [`DanglingPolicy`] variants and
+//! personalized teleport vectors are supported, and every entry point
+//! returns [`SolverError`] instead of panicking. See `DESIGN.md`, "The
+//! fused engine".
 //!
 //! The engine is the crate's one production solver; the power iteration in
 //! [`mod@crate::pagerank`] is the reference oracle the tests compare it
@@ -33,8 +35,8 @@ use crate::exec::{sim_event, ExecBarrier};
 use crate::kernel::{gather_plain, gather_weighted};
 use crate::pagerank::{DanglingPolicy, PageRankConfig, PageRankResult};
 use crate::pool::{PadCell, SharedMut, WorkerPool};
-use crate::residual::{LocalOp, LocalizedParams, ParallelPushCtx};
-use crate::transition::{fill_arc_probs, ProbScratch, TransitionModel};
+use crate::residual::{LocalizedParams, ParallelPushCtx};
+use crate::transition::TransitionModel;
 use crate::workspace::Workspace;
 use d2pr_graph::csr::CsrGraph;
 use d2pr_graph::delta::ArcDelta;
@@ -165,17 +167,17 @@ impl TouchedSet {
 ///
 /// An engine borrows its graph, so each delta batch (which produces a new
 /// snapshot) requires a new engine. Rebuilding one from scratch pays
-/// `O(V + E)` for the Θ/ln Θ tables and — worse — `O(E)` in `set_model`
-/// for the factored operator's denominators, even when a single edge
-/// changed. `EngineState` instead carries every table across the
-/// generation change and [`EngineState::patched`] repairs exactly the
+/// `O(V + E)` for the Θ/ln Θ tables and the operator tables, even when a
+/// single edge changed. `EngineState` instead carries every table across
+/// the generation change and [`EngineState::patched`] repairs exactly the
 /// entries the [`ArcDelta`] invalidated: Θ/ln Θ and the dangling mask at
-/// changed sources, the factored operator's destination factor at
-/// Θ-changed nodes and its source denominators at changed columns — all
-/// `O(frontier)`, with the transpose patched structurally
-/// ([`CscStructure::patched_structural`], no `O(E)` permutation rebuild).
-/// The [`Workspace`] rides along, so the residual-localized scratch keeps
-/// its sizing and steady-state serving performs no solver allocations.
+/// changed sources, the operator's destination factor at Θ-changed nodes,
+/// its degree-term denominators at changed columns and its
+/// connection-term factors at the delta's sources — all `O(frontier)`,
+/// for every model, with the transpose patched alongside
+/// ([`CscStructure::patched`]). The [`Workspace`] rides along, so the
+/// residual-localized scratch keeps its sizing and steady-state serving
+/// performs no solver allocations.
 ///
 /// ```
 /// use d2pr_core::engine::Engine;
@@ -210,23 +212,16 @@ pub struct EngineState {
     csc: Arc<CscStructure>,
     theta: Vec<f64>,
     log_theta: Vec<f64>,
-    max_log_theta: f64,
     dangling_mask: Vec<bool>,
     node_numer: Vec<f64>,
     inv_denom: Vec<f64>,
-    scaled_a: Vec<f64>,
-    scaled_b: Vec<f64>,
-    factored: bool,
+    conn: Vec<f64>,
+    scaled_a: Scaled,
+    scaled_b: Scaled,
     model: Option<TransitionModel>,
     config: PageRankConfig,
     threads: usize,
-    csr_probs: Vec<f64>,
-    in_probs: Vec<f64>,
-    scratch: ProbScratch,
     ws: Workspace,
-    /// The carried operator no longer matches the graph (arc-mode model,
-    /// or factored eligibility flipped): `from_state` re-runs `set_model`.
-    needs_remodel: bool,
     /// The engine's persistent worker pool, riding along so revival spawns
     /// nothing (see [`PoolCarrier`]).
     pool: PoolCarrier,
@@ -263,26 +258,28 @@ impl EngineState {
         Arc::clone(&self.csc)
     }
 
-    /// Advance the state across one delta batch: patch the transpose
-    /// structurally and repair the Θ/operator tables at exactly the
-    /// entries the delta touched (see the type docs). `new_graph` must be
-    /// the post-batch snapshot and `delta` the batch's effective arc
-    /// delta.
+    /// The carried `Θ` table (engine-internal ids).
+    pub(crate) fn theta(&self) -> &[f64] {
+        &self.theta
+    }
+
+    /// Advance the state across one delta batch: patch the transpose and
+    /// repair the Θ/operator tables at exactly the entries the delta
+    /// touched (see the type docs). `new_graph` must be the post-batch
+    /// snapshot and `delta` the batch's effective arc delta.
     ///
-    /// Arc-mode operators (`β > 0`, extreme `p`) cannot be patched
-    /// per-entry — their per-arc buffers shift with every arc index — so
-    /// they are marked stale and rebuilt by [`Engine::from_state`] (the
-    /// same `O(E)` cost as before this type existed; no regression).
-    ///
-    /// Weighted snapshots patch like unweighted ones: re-weighted arcs
-    /// carry no structural change (the transpose `Arc` identity is even
-    /// preserved when a batch is re-weight-only), but their Θ shifts
-    /// repair the factored tables in place. Node growth append-extends
-    /// every per-node table; removals are tombstones (id space fixed).
+    /// Weighted snapshots patch like unweighted ones. A re-weight-only
+    /// batch keeps the transpose `Arc` until the structure's CSC weights
+    /// are filled (by the first `β > 0` model); from then on it rekeys the
+    /// structure, whose weights moved. Node growth append-extends every
+    /// per-node table; removals are tombstones (id space fixed).
     ///
     /// # Errors
     /// Returns [`UpdateError::Graph`] when the delta does not connect the
-    /// carried structure to `new_graph` (see [`CscStructure::patched`]).
+    /// carried structure to `new_graph` (see [`CscStructure::patched`]),
+    /// and [`SolverError::InvalidModel`] (wrapped in
+    /// [`UpdateError::Solver`]) when a changed Θ puts the carried model's
+    /// degree term past the exponent range (see [`Engine::set_model`]).
     pub fn patched(
         self,
         new_graph: &CsrGraph,
@@ -294,9 +291,9 @@ impl EngineState {
     /// [`EngineState::patched`] against a transpose that has **already**
     /// been patched for this delta — the multi-view serving path. When N
     /// engine states serve personalization views over one shared
-    /// `Arc<CscStructure>`, only the first state pays the structural patch
-    /// ([`CscStructure::patched_structural`]); the rest receive its result
-    /// here, so the whole shard group keeps pointing at a single transpose
+    /// `Arc<CscStructure>`, only the first state pays the patch
+    /// ([`CscStructure::patched`]); the rest receive its result here, so
+    /// the whole shard group keeps pointing at a single transpose
     /// allocation across every delta generation
     /// ([`crate::serving::ShardManager`] relies on this).
     ///
@@ -324,7 +321,7 @@ impl EngineState {
 
     /// Shared body of [`EngineState::patched`] / [`EngineState::patched_with`]:
     /// `prepatched` carries a transpose already patched for `delta` (shared
-    /// across a shard group), `None` patches the carried one structurally.
+    /// across a shard group), `None` patches the carried one.
     fn patched_inner(
         mut self,
         new_graph: &CsrGraph,
@@ -333,18 +330,18 @@ impl EngineState {
     ) -> Result<EngineState, UpdateError> {
         let structural =
             !delta.inserted.is_empty() || !delta.deleted.is_empty() || delta.added_nodes() > 0;
-        if structural {
-            // A structural delta rekeys the share: the patched structure
-            // is a new `Arc` generation, other holders of the old one are
-            // unaffected.
+        if structural || (!delta.reweighted.is_empty() && self.csc.has_in_weights()) {
+            // The patched structure is a new `Arc` generation; other
+            // holders of the old one are unaffected.
             self.csc = match prepatched {
                 Some(csc) => csc,
-                None => Arc::new(self.csc.patched_structural(new_graph, delta)?),
+                None => Arc::new(self.csc.patched(new_graph, delta)?),
             };
         } else {
-            // Re-weights (and isolated-node tombstones) leave the arc
-            // structure — and the carried `Arc` identity, no silent deep
-            // copies — intact; only the Θ-derived tables move below.
+            // Re-weights without CSC weights (and isolated-node
+            // tombstones) leave the structure — and the carried `Arc`
+            // identity, no silent deep copies — intact; only the
+            // Θ-derived tables move below.
             if new_graph.num_nodes() != self.csc.num_nodes()
                 || new_graph.num_arcs() != self.csc.num_arcs()
             {
@@ -360,17 +357,18 @@ impl EngineState {
             }
         }
         // Node growth: append-extend every per-node table. Fresh ids
-        // start dangling with Θ = 0 (so `numer = e⁰ = 1`, `inv_denom = 0`)
-        // — a grown node that gains arcs in the same batch is in the
-        // repair lists below and gets its real values immediately.
+        // start dangling with Θ = 0 (so `numer = e⁰ = 1`, `inv_denom =
+        // conn = 0`) — a grown node that gains arcs in the same batch is
+        // in the repair lists below and gets its real values immediately.
         let n_new = new_graph.num_nodes();
         if n_new > self.dangling_mask.len() {
             self.dangling_mask.resize(n_new, true);
             self.theta.resize(n_new, 0.0);
             self.log_theta.resize(n_new, 0.0);
-            if self.factored {
+            if self.model.is_some() {
                 self.node_numer.resize(n_new, 1.0);
                 self.inv_denom.resize(n_new, 0.0);
+                self.conn.resize(n_new, 0.0);
             }
         }
 
@@ -397,44 +395,40 @@ impl EngineState {
                 theta_changed.push(v);
             }
         }
-        self.max_log_theta = self.log_theta.iter().copied().fold(0.0f64, f64::max);
 
-        if let Some(model) = self.model {
-            let still_factored = factored_eligible(self.max_log_theta, &model);
-            if self.factored && still_factored {
-                // Patch the factored operator in place: destination
-                // factors at Θ-changed nodes, source denominators at
-                // changed columns (delta sources plus the in-neighbors of
-                // every Θ-changed node — a re-weighted source's own column
-                // is untouched, the factored operator never reads arc
-                // weights directly).
-                let p = model.p();
-                for &w in &theta_changed {
-                    self.node_numer[w as usize] = (-p * self.log_theta[w as usize]).exp();
+        let Some(model) = self.model else {
+            return Ok(self);
+        };
+        let (p, beta) = (model.p(), model.beta());
+        if beta < 1.0 {
+            for &w in &theta_changed {
+                check_exponent(&model, w as usize, self.log_theta[w as usize])
+                    .map_err(UpdateError::Solver)?;
+            }
+            // Degree term: destination factors at Θ-changed nodes, source
+            // denominators at changed columns (delta sources plus the
+            // in-neighbors of every Θ-changed node).
+            for &w in &theta_changed {
+                self.node_numer[w as usize] = (-p * self.log_theta[w as usize]).exp();
+            }
+            let mut col_mark = vec![false; n_new];
+            let mut cols: Vec<u32> = Vec::new();
+            let in_neighbors = theta_changed.iter().flat_map(|&w| self.csc.in_neighbors(w));
+            for &i in source_changes.iter().map(|(v, _)| v).chain(in_neighbors) {
+                if !std::mem::replace(&mut col_mark[i as usize], true) {
+                    cols.push(i);
                 }
-                let mut cols: Vec<u32> = source_changes.iter().map(|&(v, _)| v).collect();
-                for &w in &theta_changed {
-                    cols.extend_from_slice(self.csc.in_neighbors(w));
-                }
-                cols.sort_unstable();
-                cols.dedup();
-                let (offsets, targets, _) = new_graph.parts();
-                for &i in &cols {
-                    let iu = i as usize;
-                    let (s, e) = (offsets[iu], offsets[iu + 1]);
-                    self.inv_denom[iu] = if s == e {
-                        0.0
-                    } else {
-                        let mut denom = 0.0;
-                        for &t in &targets[s..e] {
-                            denom += self.node_numer[t as usize];
-                        }
-                        1.0 / denom
-                    };
-                }
-                self.needs_remodel = false;
-            } else {
-                self.needs_remodel = true;
+            }
+            for &i in &cols {
+                self.inv_denom[i as usize] = inv_denom_at(new_graph, &self.node_numer, beta, i);
+            }
+        }
+        if beta > 0.0 {
+            // Connection term: `β/Θ_i` at every source whose out-arcs or
+            // their weights changed.
+            for (v, _) in theta_changes {
+                let vu = v as usize;
+                self.conn[vu] = conn_factor(beta, self.theta[vu], new_graph.out_degree(v));
             }
         }
         Ok(self)
@@ -460,27 +454,26 @@ pub struct Engine<'g> {
     graph: &'g CsrGraph,
     /// The shared structural transpose. Many engines (and [`EngineState`]
     /// snapshots) may hold the same `Arc`: construction from a shared
-    /// structure performs no `O(E)` work, and the arc permutation (the
-    /// only lazily-built part) is materialized once for every sharer.
+    /// structure performs no `O(E)` work, and the CSC weights (the only
+    /// lazily-built part) are filled once for every sharer.
     csc: Arc<CscStructure>,
     /// `dangling_mask[v]` ⇔ node `v` has no out-arcs.
     dangling_mask: Vec<bool>,
     /// Destination degree table (`deg`/`outdeg`, or Θ on weighted graphs).
     theta: Vec<f64>,
-    /// `ln(max(Θ, 1))` per node, cached for the factored operator path.
+    /// `ln(max(Θ, 1))` per node, cached for the degree term.
     log_theta: Vec<f64>,
-    /// Largest entry of `log_theta`.
-    max_log_theta: f64,
-    /// Factored operator, destination factor: `numer[j] = Θ_j^(−p)`.
+    /// Degree term, destination factor: `numer[j] = Θ_j^(−p)`.
     node_numer: Vec<f64>,
-    /// Factored operator, source factor: `inv_denom[i] = 1/Σ_{t∈N(i)} Θ_t^(−p)`
-    /// (0 for dangling `i`).
+    /// Degree term, source factor: `inv_denom[i] = (1−β)/Σ_{t∈N(i)}
+    /// Θ_t^(−p)` (0 for dangling `i`).
     inv_denom: Vec<f64>,
-    /// Ping-pong buffers holding `rank[i]·inv_denom[i]` (factored mode).
-    scaled_a: Vec<f64>,
-    scaled_b: Vec<f64>,
-    /// Whether the loaded operator is in factored form.
-    factored: bool,
+    /// Connection term, source factor: `conn[i] = β/Θ_i` (0 for dangling
+    /// `i`).
+    conn: Vec<f64>,
+    /// Ping-pong pair of the iterate scaled by the source factors.
+    scaled_a: Scaled,
+    scaled_b: Scaled,
     threads: usize,
     /// Arc-balanced destination ranges, one per worker.
     partitions: Vec<Range<usize>>,
@@ -503,13 +496,6 @@ pub struct Engine<'g> {
     push_parallel_threshold: usize,
     config: PageRankConfig,
     model: Option<TransitionModel>,
-    /// Per-arc probabilities in CSR order (scratch for the fused build).
-    csr_probs: Vec<f64>,
-    /// Per-arc probabilities in CSC order — the operator the pull kernel
-    /// reads in **arc mode**. Rewritten in place by [`Engine::set_model`]
-    /// for arc-mode models; factored models never materialize it.
-    in_probs: Vec<f64>,
-    scratch: ProbScratch,
     ws: Workspace,
 }
 
@@ -602,19 +588,17 @@ impl<'g> Engine<'g> {
                 .collect()
         };
         let log_theta: Vec<f64> = theta.iter().map(|&t| t.max(1.0).ln()).collect();
-        let max_log_theta = log_theta.iter().copied().fold(0.0f64, f64::max);
         Self {
             graph,
             csc,
             dangling_mask,
             theta,
             log_theta,
-            max_log_theta,
             node_numer: Vec::new(),
             inv_denom: Vec::new(),
-            scaled_a: Vec::new(),
-            scaled_b: Vec::new(),
-            factored: false,
+            conn: Vec::new(),
+            scaled_a: Scaled::default(),
+            scaled_b: Scaled::default(),
             threads,
             partitions,
             push_owner,
@@ -623,12 +607,6 @@ impl<'g> Engine<'g> {
             push_parallel_threshold: DEFAULT_PARALLEL_PUSH_THRESHOLD,
             config: PageRankConfig::default(),
             model: None,
-            // Sized lazily on the first arc-mode model: factored-only
-            // serving (the common case) never pays the two per-arc buffers,
-            // which dominate engine (re)construction cost on big graphs.
-            csr_probs: Vec::new(),
-            in_probs: Vec::new(),
-            scratch: ProbScratch::default(),
             ws: Workspace::with_capacity(graph.num_nodes()),
         }
     }
@@ -680,7 +658,8 @@ impl<'g> Engine<'g> {
     /// The shared transpose structure (cheap `Arc` clone). Hand it to
     /// [`Engine::with_structure`] to build further engines over the same
     /// graph with zero `O(E)` structure work — they all read the one
-    /// transpose (and the one arc permutation, built at most once).
+    /// transpose (and the one copy of its CSC weights, filled at most
+    /// once).
     pub fn shared_structure(&self) -> Arc<CscStructure> {
         Arc::clone(&self.csc)
     }
@@ -710,7 +689,7 @@ impl<'g> Engine<'g> {
     }
 
     /// Consume the engine, recovering **all** graph-independent state —
-    /// transpose, Θ/ln Θ tables, factored operator, workspace (including
+    /// transpose, Θ/ln Θ tables, operator tables, workspace (including
     /// the residual-localized scratch) — for the serving-loop handoff:
     /// patch it against the next snapshot ([`EngineState::patched`]) and
     /// revive with [`Engine::from_state`], skipping every `O(E)` rebuild a
@@ -720,21 +699,16 @@ impl<'g> Engine<'g> {
             csc: self.csc,
             theta: self.theta,
             log_theta: self.log_theta,
-            max_log_theta: self.max_log_theta,
             dangling_mask: self.dangling_mask,
             node_numer: self.node_numer,
             inv_denom: self.inv_denom,
+            conn: self.conn,
             scaled_a: self.scaled_a,
             scaled_b: self.scaled_b,
-            factored: self.factored,
             model: self.model,
             config: self.config,
             threads: self.threads,
-            csr_probs: self.csr_probs,
-            in_probs: self.in_probs,
-            scratch: self.scratch,
             ws: self.ws,
-            needs_remodel: false,
             // The worker pool parks inside the state: revival reattaches
             // the same OS threads, so the serving loop never respawns.
             pool: PoolCarrier(self.pool),
@@ -744,11 +718,10 @@ impl<'g> Engine<'g> {
     }
 
     /// Revive an engine over `graph` from a (patched) [`EngineState`]:
-    /// validates the carried structure against the graph, rebuilds only
-    /// the arc-balanced partitions (`O(V)`), and — when the carried
-    /// operator was marked stale — re-runs [`Engine::set_model`]. For the
-    /// factored serving path this makes engine succession `O(V)` instead
-    /// of `O(V + E)` with no per-arc buffer allocation at all.
+    /// validates the carried structure against the graph and rebuilds only
+    /// the arc-balanced partitions (`O(V)`). The carried operator tables
+    /// are current for every model, so engine succession is `O(V)`
+    /// instead of `O(V + E)`, with no per-arc work at all.
     ///
     /// # Errors
     /// Returns [`SolverError::StructureMismatch`] when the carried state
@@ -781,18 +754,17 @@ impl<'g> Engine<'g> {
             }
             _ => None,
         };
-        let mut engine = Self {
+        Ok(Self {
             graph,
             csc: state.csc,
             dangling_mask: state.dangling_mask,
             theta: state.theta,
             log_theta: state.log_theta,
-            max_log_theta: state.max_log_theta,
             node_numer: state.node_numer,
             inv_denom: state.inv_denom,
+            conn: state.conn,
             scaled_a: state.scaled_a,
             scaled_b: state.scaled_b,
-            factored: state.factored,
             threads: state.threads,
             partitions,
             push_owner,
@@ -801,88 +773,58 @@ impl<'g> Engine<'g> {
             push_parallel_threshold: state.push_parallel_threshold,
             config: state.config,
             model: state.model,
-            csr_probs: state.csr_probs,
-            in_probs: state.in_probs,
-            scratch: state.scratch,
             ws: state.ws,
-        };
-        if state.needs_remodel {
-            if let Some(model) = engine.model {
-                engine.set_model(model)?;
-            }
-        }
-        Ok(engine)
+        })
     }
 
-    /// Load a transition model: the **fused operator update**. Probabilities
-    /// are computed in one pass over the graph (reusing the cached Θ table)
-    /// and scattered through the cached CSR→CSC arc permutation, entirely
-    /// into preallocated buffers — zero heap allocations once the engine has
-    /// processed its first model.
+    /// Load a transition model: the **operator update**. One `exp` per
+    /// node for the degree term's destination factors and one pass over
+    /// the CSR arcs for its denominators and the connection term's source
+    /// factors (module docs), entirely into preallocated buffers — zero
+    /// heap allocations once the engine has processed its first model.
+    /// The first `β > 0` model on a weighted graph also fills the
+    /// structure's CSC weights ([`CscStructure::in_weights`]).
     ///
-    /// For pure degree de-coupling (`β = 0`) with `|p|·max(ln Θ)` inside
-    /// `exp`'s safe range (which covers the paper's whole `[−4, 4]` grid by
-    /// three orders of magnitude), the operator is kept in **factored
-    /// form**: `T_D(j, i) = Θ_j^(−p) · (Σ_{t∈N(i)} Θ_t^(−p))^{-1}` is a
-    /// rank-one product of a destination factor and a source factor, so
-    /// the update computes one `exp` per *node* and never materializes
-    /// per-arc values — and the pull kernel drops its per-arc probability
-    /// load entirely. Other models fall back to the numerically-hardened
-    /// log-sum-exp path of [`fill_arc_probs`] plus the permutation scatter.
+    /// The degree term evaluates `Θ^(−p)` directly, so `|p|·ln Θ` must stay
+    /// inside `exp`'s safe range at every node: below 600, which covers the
+    /// paper's `[−4, 4]` grid by orders of magnitude. The reference oracle
+    /// ([`TransitionMatrix`](crate::transition::TransitionMatrix)) keeps its
+    /// log-sum-exp evaluation for any `p`.
     ///
     /// # Errors
-    /// Returns [`SolverError::InvalidModel`] when validation fails.
+    /// Returns [`SolverError::InvalidModel`] when validation fails, or when
+    /// `β < 1` and some node has `|p|·ln Θ ≥ 600` (the error names the
+    /// node, `p` and the limit). The loaded operator is unchanged then.
     pub fn set_model(&mut self, model: TransitionModel) -> Result<(), SolverError> {
         model.validate().map_err(SolverError::InvalidModel)?;
-        self.factored = factored_eligible(self.max_log_theta, &model);
-        if self.factored {
-            self.set_model_factored(model.p());
-        } else {
-            let m = self.graph.num_arcs();
-            self.csr_probs.resize(m, 0.0);
-            self.in_probs.resize(m, 0.0);
-            // Structures patched on the serving path skip the CSR→CSC arc
-            // permutation; arc-mode operators are the only consumer. The
-            // `&self` materialization makes this safe on a shared `Arc` —
-            // every sharer gets the one build.
-            self.csc.ensure_arc_permutation(self.graph);
-            fill_arc_probs(
-                self.graph,
-                model,
-                &self.theta,
-                &mut self.csr_probs,
-                &mut self.scratch,
-            );
-            self.csc
-                .scatter_arc_values(&self.csr_probs, &mut self.in_probs);
+        for (v, &l) in self.log_theta.iter().enumerate() {
+            check_exponent(&model, v, l)?;
+        }
+        let n = self.graph.num_nodes();
+        self.node_numer.resize(n, 0.0);
+        self.inv_denom.resize(n, 0.0);
+        self.conn.resize(n, 0.0);
+        fill_tables(
+            self.graph,
+            &self.theta,
+            &self.log_theta,
+            model,
+            &mut self.node_numer,
+            &mut self.inv_denom,
+            &mut self.conn,
+        );
+        if model.beta() > 0.0 {
+            self.csc.in_weights(self.graph);
         }
         self.model = Some(model);
         Ok(())
     }
 
-    /// Factored operator update: one `exp` per node for the destination
-    /// factor, one pass over the CSR arcs for the source denominators.
-    fn set_model_factored(&mut self, p: f64) {
-        let n = self.graph.num_nodes();
-        self.node_numer.resize(n, 0.0);
-        self.inv_denom.resize(n, 0.0);
-        update_factored_into(
-            self.graph,
-            &self.log_theta,
-            p,
-            &mut self.node_numer,
-            &mut self.inv_denom,
-        );
-    }
-
-    /// The CSC-ordered operator values (parallel to the transpose's
-    /// `in_sources`) of the last **arc-mode** model. Factored models (pure
-    /// degree de-coupling) never materialize per-arc values, so after a
-    /// factored [`Engine::set_model`] this buffer still holds the previous
-    /// arc-mode operator (empty if there was none). Exposed for tests and
-    /// diagnostics.
+    /// Always empty: every model runs the factored operator, so the engine
+    /// holds no per-arc probabilities.
+    #[deprecated(note = "the engine holds no per-arc probabilities; always empty")]
     pub fn in_probs(&self) -> &[f64] {
-        &self.in_probs
+        &[]
     }
 
     /// Solve for the loaded model with uniform teleportation.
@@ -1280,20 +1222,17 @@ impl<'g> Engine<'g> {
             .init_rank(n, Some(previous))
             .map_err(UpdateError::Solver)?;
 
-        let op = if self.factored {
-            LocalOp::Factored {
-                numer: &self.node_numer,
-                inv_denom: &self.inv_denom,
-            }
-        } else {
-            LocalOp::Arc {
-                csr_probs: &self.csr_probs,
-            }
+        let model = self.model.expect("checked above");
+        let op = FactoredOp {
+            numer: &self.node_numer,
+            inv_denom: &self.inv_denom,
+            conn: &self.conn,
+            theta: &self.theta,
+            beta: model.beta(),
         };
         let params = LocalizedParams {
             alpha: self.config.alpha,
-            p: self.model.expect("checked above").p(),
-            beta: self.model.expect("checked above").beta(),
+            p: model.p(),
             policy: self.config.dangling,
             tolerance: self.config.tolerance,
             // Pushing beats sweeping while the residual is concentrated;
@@ -1328,7 +1267,6 @@ impl<'g> Engine<'g> {
             self.graph,
             &self.csc,
             &self.dangling_mask,
-            &self.theta,
             &op,
             &params,
             delta,
@@ -1379,7 +1317,6 @@ impl<'g> Engine<'g> {
             t.mark_all();
         }
         let seed: Vec<f64> = rank.iter().map(|&x| x.max(0.0)).collect();
-        let model = self.model.expect("checked above");
         let mut sweep_out = self
             .sweep_inner(&[model], teleport, false, Some(&seed))
             .map_err(UpdateError::Solver)?;
@@ -1424,6 +1361,9 @@ impl<'g> Engine<'g> {
         self.config.validate().map_err(SolverError::InvalidConfig)?;
         for model in models {
             model.validate().map_err(SolverError::InvalidModel)?;
+            for (v, &l) in self.log_theta.iter().enumerate() {
+                check_exponent(model, v, l)?;
+            }
         }
         let n = self.graph.num_nodes();
         if models.is_empty() {
@@ -1472,20 +1412,22 @@ impl<'g> Engine<'g> {
                 in_offsets: self.csc.in_offsets(),
                 narrow_in_offsets: self.csc.narrow_in_offsets(),
                 in_sources: self.csc.in_sources(),
+                in_weights: (model.beta() > 0.0)
+                    .then(|| self.csc.in_weights(self.graph))
+                    .flatten(),
                 dangling_mask: &self.dangling_mask,
                 dangling_nodes: self.csc.dangling(),
             };
-            let op = if self.factored {
-                EngineOp::Factored {
-                    numer: &self.node_numer,
-                    inv_denom: &self.inv_denom,
-                }
-            } else {
-                EngineOp::Arc(&self.in_probs)
+            let op = FactoredOp {
+                numer: &self.node_numer,
+                inv_denom: &self.inv_denom,
+                conn: &self.conn,
+                theta: &self.theta,
+                beta: model.beta(),
             };
             let (iterations, residual) = drive_serial(
                 &topo,
-                op,
+                &op,
                 &self.config,
                 &mut self.ws.rank,
                 &mut self.ws.next,
@@ -1516,22 +1458,13 @@ impl<'g> Engine<'g> {
 
         // Pre-size every buffer the pool will share (their pointers are
         // captured once, so no reallocation may happen inside the scope).
-        // The per-arc buffers are lazy: only size them when some grid point
-        // actually runs in arc mode.
-        if models
-            .iter()
-            .any(|mo| !factored_eligible(self.max_log_theta, mo))
-        {
-            let m = self.graph.num_arcs();
-            self.csr_probs.resize(m, 0.0);
-            self.in_probs.resize(m, 0.0);
-            self.csc.ensure_arc_permutation(self.graph);
+        for v in [&mut self.node_numer, &mut self.inv_denom, &mut self.conn] {
+            v.resize(n, 0.0);
         }
-        self.node_numer.resize(n, 0.0);
-        self.inv_denom.resize(n, 0.0);
-        self.scaled_a.resize(n, 0.0);
-        self.scaled_b.resize(n, 0.0);
-        let max_log_theta = self.max_log_theta;
+        for s in [&mut self.scaled_a, &mut self.scaled_b] {
+            s.dec.resize(n, 0.0);
+            s.conn.resize(n, 0.0);
+        }
 
         // Split the engine into disjoint borrows so the parked worker pool
         // can hold shared state while the main thread keeps updating the
@@ -1544,16 +1477,13 @@ impl<'g> Engine<'g> {
             log_theta,
             partitions,
             pool,
-            csr_probs,
-            in_probs,
             node_numer,
             inv_denom,
+            conn,
             scaled_a,
             scaled_b,
-            scratch,
             ws,
             model: current_model,
-            factored: current_factored,
             ..
         } = self;
         ws.init_rank(n, init)?;
@@ -1573,17 +1503,22 @@ impl<'g> Engine<'g> {
             in_offsets: csc.in_offsets(),
             narrow_in_offsets: csc.narrow_in_offsets(),
             in_sources: csc.in_sources(),
+            in_weights: (models.iter().any(|m| m.beta() > 0.0))
+                .then(|| csc.in_weights(graph))
+                .flatten(),
             dangling_mask,
             dangling_nodes: csc.dangling(),
         };
         let shared = PoolShared::new(
             &topo,
-            SharedMut::new(in_probs),
             [SharedMut::new(rank), SharedMut::new(next)],
             FactoredShared {
                 numer: SharedMut::new(node_numer),
                 inv_denom: SharedMut::new(inv_denom),
-                scaled: [SharedMut::new(scaled_a), SharedMut::new(scaled_b)],
+                conn: SharedMut::new(conn),
+                theta,
+                scaled: [scaled_a, scaled_b]
+                    .map(|s| [SharedMut::new(&mut s.dec), SharedMut::new(&mut s.conn)]),
             },
             teleport,
             &config,
@@ -1603,35 +1538,28 @@ impl<'g> Engine<'g> {
             // Main thread: drive the sweep. Workers are parked on the start
             // barrier between phases, so mutating shared buffers here is
             // sound.
+            let fshared = &shared.tables;
             for (pi, &model) in models.iter().enumerate() {
-                // Fused operator update, in place, while workers are parked.
+                // Operator update, in place, while workers are parked.
                 // `solve_model`/`solve` arrive with the operator already
                 // loaded by `set_model`; don't rebuild it for that point.
-                let point_factored = factored_eligible(max_log_theta, &model);
-                let fshared = &shared.factored;
-                let already_loaded = pi == 0 && *current_model == Some(model);
-                if !already_loaded {
-                    if point_factored {
-                        // SAFETY: workers are parked on the `start` barrier,
-                        // so the main thread is the only accessor of the
-                        // factors.
-                        unsafe {
-                            update_factored_into(
-                                graph,
-                                log_theta,
-                                model.p(),
-                                fshared.numer.slice_mut(),
-                                fshared.inv_denom.slice_mut(),
-                            );
-                        }
-                    } else {
-                        fill_arc_probs(graph, model, theta, csr_probs, scratch);
-                        // SAFETY: as above, for the per-arc value buffer.
-                        csc.scatter_arc_values(csr_probs, unsafe { shared.in_probs.slice_mut() });
+                if !(pi == 0 && *current_model == Some(model)) {
+                    // SAFETY: workers are parked on the `start` barrier,
+                    // so the main thread is the only accessor of the
+                    // tables.
+                    unsafe {
+                        fill_tables(
+                            graph,
+                            theta,
+                            log_theta,
+                            model,
+                            fshared.numer.slice_mut(),
+                            fshared.inv_denom.slice_mut(),
+                            fshared.conn.slice_mut(),
+                        );
                     }
                 }
                 *current_model = Some(model);
-                *current_factored = point_factored;
 
                 let flip = shared.flip.load(Ordering::Relaxed);
                 if pi > 0 && !warm_start {
@@ -1642,21 +1570,20 @@ impl<'g> Engine<'g> {
                         None => rank_buf.fill(uniform),
                     }
                 }
-                if point_factored {
-                    // The source factors changed with the model, so the
-                    // scaled iterate must be rebuilt even on warm starts.
-                    // SAFETY: workers are parked; main thread owns the bufs.
-                    unsafe {
-                        let rank_buf = shared.bufs[flip].slice();
-                        let invd = fshared.inv_denom.slice();
-                        let scaled = fshared.scaled[flip].slice_mut();
-                        for ((o, &r), &d) in scaled.iter_mut().zip(rank_buf).zip(invd) {
-                            *o = r * d;
-                        }
-                    }
+                // The source factors changed with the model, so the scaled
+                // iterate must be rebuilt even on warm starts.
+                // SAFETY: workers are parked; main thread owns the bufs and
+                // exclusive access to params.
+                unsafe {
+                    let [dec, conn] = &fshared.scaled[flip];
+                    scale_into(
+                        &fshared.op(model.beta()),
+                        shared.bufs[flip].slice(),
+                        dec.slice_mut(),
+                        conn.slice_mut(),
+                    );
+                    (*shared.params.get()).beta = model.beta();
                 }
-                // SAFETY: workers parked; exclusive access to params.
-                unsafe { (*shared.params.get()).factored = point_factored };
                 let (iterations, residual) = drive_pooled_point(&shared, &config, &topo);
                 let flip = shared.flip.load(Ordering::Relaxed);
                 // SAFETY: workers are parked; main thread owns the bufs.
@@ -1693,8 +1620,11 @@ struct PullTopo<'a> {
     /// halves the index bytes streamed per row (see
     /// `d2pr_graph::permute::narrow_offsets`). `None` keeps the wide path.
     narrow_in_offsets: Option<&'a [u32]>,
-    /// CSC sources, parallel to the CSC probability array.
+    /// CSC sources.
     in_sources: &'a [u32],
+    /// Arc weights parallel to `in_sources`, read by the connection term;
+    /// `None` on unweighted graphs (or when no solve runs that term).
+    in_weights: Option<&'a [f64]>,
     /// `dangling_mask[v]` ⇔ `v` has no out-arcs.
     dangling_mask: &'a [bool],
     /// Dangling node list (ascending).
@@ -1757,55 +1687,177 @@ fn push_owner_map(graph: &CsrGraph, workers: usize) -> Vec<u32> {
     owner_map(&spans, graph.num_nodes())
 }
 
-/// Whether `model` can use the factored operator representation: pure
-/// degree de-coupling (`β = 0`) with `|p|·max(ln Θ)` far inside `exp`'s
-/// safe range, so every per-node numerator — and every neighborhood sum of
-/// them — stays finite and non-zero.
-fn factored_eligible(max_log_theta: f64, model: &TransitionModel) -> bool {
-    model.beta() == 0.0 && model.p().abs() * max_log_theta < 600.0
+/// `|p|·ln Θ` at which the degree term's `Θ^(−p)` leaves `exp`'s safe
+/// range (`e^±709` overflows or vanishes, and neighborhood sums of such
+/// factors with it).
+const EXPONENT_LIMIT: f64 = 600.0;
+
+/// Check that `model`'s degree term can evaluate `Θ^(−p)` at a node whose
+/// `ln(max(Θ, 1))` is `log_theta`. Only `β < 1` runs the degree term.
+pub(crate) fn check_exponent(
+    model: &TransitionModel,
+    node: usize,
+    log_theta: f64,
+) -> Result<(), SolverError> {
+    let p = model.p();
+    if model.beta() < 1.0 && p.abs() * log_theta >= EXPONENT_LIMIT {
+        return Err(SolverError::InvalidModel(format!(
+            "p = {p} puts node {node} past the exponent range: \
+             |p|·ln Θ = {:.1} ≥ {EXPONENT_LIMIT}",
+            p.abs() * log_theta
+        )));
+    }
+    Ok(())
 }
 
-/// Write the factored operator for de-coupling weight `p` into pre-sized
-/// per-node buffers: `numer[j] = Θ_j^(−p)`, `inv_denom[i] = 1/Σ_{t∈N(i)}
-/// numer[t]` (0 for dangling `i`). Allocation-free.
-fn update_factored_into(
+/// Connection-term source factor `β/Θ_i` of a source with out-degree
+/// `outdeg`. A source whose weights sum to 0 falls back to uniform,
+/// `β/outdeg` with every arc weighing 1 (as
+/// [`CscStructure::in_weights`] stores it); a dangling source gets 0.
+pub(crate) fn conn_factor(beta: f64, theta: f64, outdeg: u32) -> f64 {
+    if outdeg == 0 {
+        0.0
+    } else if theta > 0.0 {
+        beta / theta
+    } else {
+        beta / f64::from(outdeg)
+    }
+}
+
+/// Write the operator tables of `model` into pre-sized per-node buffers
+/// (module docs): the degree term's `numer`/`inv_denom` when `β < 1`, the
+/// connection term's `conn` when `β > 0`. A table whose term does not run
+/// keeps its old values. Allocation-free.
+fn fill_tables(
     graph: &CsrGraph,
+    theta: &[f64],
     log_theta: &[f64],
-    p: f64,
+    model: TransitionModel,
     numer: &mut [f64],
     inv_denom: &mut [f64],
+    conn: &mut [f64],
 ) {
-    let (offsets, targets, _) = graph.parts();
-    for (o, &l) in numer.iter_mut().zip(log_theta) {
-        *o = (-p * l).exp();
+    let (p, beta) = (model.p(), model.beta());
+    if beta < 1.0 {
+        for (o, &l) in numer.iter_mut().zip(log_theta) {
+            *o = (-p * l).exp();
+        }
+        for (v, slot) in inv_denom.iter_mut().enumerate() {
+            *slot = inv_denom_at(graph, numer, beta, v as u32);
+        }
     }
-    for (v, slot) in inv_denom.iter_mut().enumerate() {
-        let (s, e) = (offsets[v], offsets[v + 1]);
-        if s == e {
-            // Dangling sources never appear in any in-arc list.
-            *slot = 0.0;
-            continue;
+    if beta > 0.0 {
+        for (v, slot) in conn.iter_mut().enumerate() {
+            *slot = conn_factor(beta, theta[v], graph.out_degree(v as u32));
         }
-        let mut denom = 0.0;
-        for &t in &targets[s..e] {
-            denom += numer[t as usize];
-        }
-        *slot = 1.0 / denom;
     }
 }
 
-/// The operator representation a solve runs against.
+/// Degree-term source factor `(1−β)/Σ_{t∈N(i)} numer[t]`, 0 for a dangling
+/// `i` (which appears in no in-arc list).
+fn inv_denom_at(graph: &CsrGraph, numer: &[f64], beta: f64, i: u32) -> f64 {
+    let targets = graph.neighbors(i);
+    if targets.is_empty() {
+        return 0.0;
+    }
+    let mut denom = 0.0;
+    for &t in targets {
+        denom += numer[t as usize];
+    }
+    (1.0 - beta) / denom
+}
+
+/// The operator a solve runs against:
+/// `T[j,i] = numer[j]·inv_denom[i] + w(i→j)·conn[i]` (module docs). The
+/// degree term runs iff `β < 1`, the connection term iff `β > 0`.
 #[derive(Debug, Clone, Copy)]
-enum EngineOp<'a> {
-    /// Per-arc probabilities in CSC order.
-    Arc(&'a [f64]),
-    /// Rank-one factored operator `T[j,i] = numer[j] · inv_denom[i]`
-    /// (pure degree de-coupling). The kernel gathers from a pre-scaled
-    /// `rank·inv_denom` buffer, so no per-arc values exist at all.
-    Factored {
-        numer: &'a [f64],
-        inv_denom: &'a [f64],
-    },
+pub(crate) struct FactoredOp<'a> {
+    /// Degree term, destination factors `Θ_j^(−p)`.
+    pub(crate) numer: &'a [f64],
+    /// Degree term, source factors `(1−β)/Σ_{t∈N(i)} Θ_t^(−p)`.
+    pub(crate) inv_denom: &'a [f64],
+    /// Connection term, source factors `β/Θ_i`.
+    pub(crate) conn: &'a [f64],
+    /// The `Θ` table: a weighted source with `Θ_i = 0` weighs each arc 1.
+    pub(crate) theta: &'a [f64],
+    /// Blend weight of the loaded model.
+    pub(crate) beta: f64,
+}
+
+impl FactoredOp<'_> {
+    pub(crate) fn degree_term(&self) -> bool {
+        self.beta < 1.0
+    }
+
+    pub(crate) fn conn_term(&self) -> bool {
+        self.beta > 0.0
+    }
+
+    /// Push-side view of column `i`: calls `f(j, scale·T[j,i])` for every
+    /// out-arc `i → j` in CSR order, with the connection term's weights
+    /// read from the graph.
+    #[inline]
+    pub(crate) fn scatter(
+        &self,
+        graph: &CsrGraph,
+        i: usize,
+        scale: f64,
+        mut f: impl FnMut(usize, f64),
+    ) {
+        let targets = graph.neighbors(i as u32);
+        let dec = scale * self.inv_denom[i];
+        if !self.conn_term() {
+            for &j in targets {
+                f(j as usize, dec * self.numer[j as usize]);
+            }
+            return;
+        }
+        let conn = scale * self.conn[i];
+        let weights = graph
+            .neighbor_weights(i as u32)
+            .filter(|_| self.theta[i] > 0.0);
+        for (k, &j) in targets.iter().enumerate() {
+            let mut c = conn * weights.map_or(1.0, |w| w[k]);
+            if self.degree_term() {
+                c += dec * self.numer[j as usize];
+            }
+            f(j as usize, c);
+        }
+    }
+}
+
+/// An iterate scaled by the operator's source factors — `dec[i] =
+/// x_i·inv_denom[i]` and `conn[i] = x_i·conn[i]` — so a pull gathers one
+/// value per arc and term. Serial solves keep the vector of a term that
+/// does not run empty.
+#[derive(Debug, Clone, Default)]
+struct Scaled {
+    dec: Vec<f64>,
+    conn: Vec<f64>,
+}
+
+impl Scaled {
+    /// Rebuild from `rank` for the terms `op` runs.
+    fn scale(&mut self, op: &FactoredOp<'_>, rank: &[f64]) {
+        let n = rank.len();
+        self.dec.resize(if op.degree_term() { n } else { 0 }, 0.0);
+        self.conn.resize(if op.conn_term() { n } else { 0 }, 0.0);
+        scale_into(op, rank, &mut self.dec, &mut self.conn);
+    }
+}
+
+/// Write `rank` scaled by the source factors of the terms `op` runs.
+fn scale_into(op: &FactoredOp<'_>, rank: &[f64], dec: &mut [f64], conn: &mut [f64]) {
+    if op.degree_term() {
+        for ((o, &r), &d) in dec.iter_mut().zip(rank).zip(op.inv_denom) {
+            *o = r * d;
+        }
+    }
+    if op.conn_term() {
+        for ((o, &r), &c) in conn.iter_mut().zip(rank).zip(op.conn) {
+            *o = r * c;
+        }
+    }
 }
 
 /// Per-iteration parameters broadcast to workers.
@@ -1815,8 +1867,8 @@ struct PullParams {
     uniform: f64,
     policy: DanglingPolicy,
     dangling_mass: f64,
-    /// Whether the current point runs the factored kernel.
-    factored: bool,
+    /// Blend weight of the current point (which terms run).
+    beta: f64,
 }
 
 /// Partial aggregates a worker reports for its destination range.
@@ -1832,25 +1884,113 @@ struct RangeOut {
 }
 
 /// The pull kernel over one destination range: `next[j] = (1−α)·t_j +
-/// policy-term + α·Σ_{i→j} T[j,i]·rank[i]`. `next` (and, in factored mode,
-/// `scaled_next`) are the sub-slices for `range` only — disjoint between
-/// workers; all other inputs are shared reads. In factored mode the sum
-/// gathers from `scaled_rank = rank·inv_denom` and multiplies by the
-/// destination factor once per node. For `Renormalize`, the residual is
-/// computed later by [`scale_range`].
+/// policy-term + α·Σ_{i→j} T[j,i]·rank[i]`, gathered per term from the
+/// scaled iterate (`α·numer[j]·Σ dec[i]` plus `α·Σ w(i→j)·conn[i]`).
+/// `next` and the scaled `next_dec`/`next_conn` are the sub-slices for
+/// `range` only — disjoint between workers; all other inputs are shared
+/// reads. For `Renormalize`, the residual is computed later by
+/// [`scale_range`].
+///
+/// The terms that run are picked here, once per call: each combination
+/// is its own monomorphized loop, so `β = 0` runs exactly the plain
+/// degree-term loop and `β = 1` only the connection gather.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn pull_range(
     range: Range<usize>,
     topo: &PullTopo<'_>,
-    op: EngineOp<'_>,
+    op: &FactoredOp<'_>,
     teleport: Option<&[f64]>,
     rank: &[f64],
-    scaled_rank: &[f64],
+    scaled: (&[f64], &[f64]),
     next: &mut [f64],
-    scaled_next: &mut [f64],
+    next_scaled: (&mut [f64], &mut [f64]),
     params: &PullParams,
 ) -> RangeOut {
+    let args = (
+        range,
+        topo,
+        op,
+        teleport,
+        rank,
+        scaled,
+        next,
+        next_scaled,
+        params,
+    );
+    match (op.degree_term(), op.conn_term(), topo.in_weights.is_some()) {
+        (true, false, _) => pull_terms::<true, false, false>(args),
+        (false, true, false) => pull_terms::<false, true, false>(args),
+        (false, true, true) => pull_terms::<false, true, true>(args),
+        (true, true, false) => pull_terms::<true, true, false>(args),
+        (true, true, true) => pull_terms::<true, true, true>(args),
+        (false, false, _) => unreachable!("β ∈ [0, 1] runs at least one term"),
+    }
+}
+
+/// Arguments of [`pull_range`], forwarded as one tuple.
+type PullArgs<'a, 'b> = (
+    Range<usize>,
+    &'b PullTopo<'a>,
+    &'b FactoredOp<'a>,
+    Option<&'b [f64]>,
+    &'b [f64],
+    (&'b [f64], &'b [f64]),
+    &'b mut [f64],
+    (&'b mut [f64], &'b mut [f64]),
+    &'b PullParams,
+);
+
+/// `α·Σ_{i→j} T[j,i]·rank[i]` for destination `j`, over the terms `D`
+/// (degree) and `C` (connection, arc-weighted when `W`).
+#[inline(always)]
+fn row_sum<const D: bool, const C: bool, const W: bool>(
+    topo: &PullTopo<'_>,
+    op: &FactoredOp<'_>,
+    scaled: (&[f64], &[f64]),
+    alpha: f64,
+    j: usize,
+) -> f64 {
+    let (s, e) = topo.span(j);
+    let srcs = &topo.in_sources[s..e];
+    let mut sum = 0.0;
+    if D {
+        sum = alpha * op.numer[j] * gather_plain(srcs, scaled.0);
+    }
+    if C {
+        let g = match topo.in_weights {
+            Some(w) if W => gather_weighted(srcs, &w[s..e], scaled.1),
+            _ => gather_plain(srcs, scaled.1),
+        };
+        sum += alpha * g;
+    }
+    sum
+}
+
+/// The body of [`pull_range`] for one combination of terms. The fast path
+/// `P` is picked here, once per call too: no dangling nodes (every policy
+/// degenerates to the plain update) and uniform teleportation, so the base
+/// term is one constant for the whole iteration and all per-destination
+/// policy bookkeeping disappears.
+#[inline]
+fn pull_terms<const D: bool, const C: bool, const W: bool>(args: PullArgs<'_, '_>) -> RangeOut {
+    let (_, topo, _, teleport, .., params) = &args;
+    if topo.dangling_nodes.is_empty()
+        && teleport.is_none()
+        && params.policy != DanglingPolicy::Renormalize
+    {
+        pull_loop::<D, C, W, true>(args)
+    } else {
+        pull_loop::<D, C, W, false>(args)
+    }
+}
+
+/// The row loop of [`pull_terms`].
+#[inline]
+fn pull_loop<const D: bool, const C: bool, const W: bool, const P: bool>(
+    args: PullArgs<'_, '_>,
+) -> RangeOut {
+    let (range, topo, op, teleport, rank, scaled, next, (next_dec, next_conn), params) = args;
     let alpha = params.alpha;
     // The teleport coefficient is constant across the range: `(1−α)` plus,
     // under RedistributeTeleport, the dangling mass folded in.
@@ -1858,117 +1998,62 @@ fn pull_range(
         DanglingPolicy::RedistributeTeleport => (1.0 - alpha) + alpha * params.dangling_mass,
         DanglingPolicy::SelfLoop | DanglingPolicy::Renormalize => 1.0 - alpha,
     };
-    // Fast path for the overwhelmingly common configuration: no dangling
-    // nodes (every policy degenerates to the plain update) and uniform
-    // teleportation, so the base term is one constant for the whole
-    // iteration and all per-destination policy bookkeeping disappears.
-    if topo.dangling_nodes.is_empty()
-        && teleport.is_none()
-        && params.policy != DanglingPolicy::Renormalize
-    {
-        return pull_range_plain(
-            range,
-            topo,
-            op,
-            tele_coef * params.uniform,
-            alpha,
-            rank,
-            scaled_rank,
-            next,
-            scaled_next,
-        );
-    }
+    let plain_base = tele_coef * params.uniform;
     let self_loop = params.policy == DanglingPolicy::SelfLoop;
     let mut out = RangeOut::default();
     let base_start = range.start;
     for j in range {
-        let tj = teleport.map_or(params.uniform, |t| t[j]);
-        let is_dangling = topo.dangling_mask[j];
-        let mut base = tele_coef * tj;
-        if self_loop && is_dangling {
-            base += alpha * rank[j];
-        }
-        let (s, e) = topo.span(j);
-        let srcs = &topo.in_sources[s..e];
-        let val = match op {
-            EngineOp::Arc(in_probs) => base + alpha * gather_weighted(srcs, &in_probs[s..e], rank),
-            EngineOp::Factored { numer, inv_denom } => {
-                let val = base + alpha * numer[j] * gather_plain(srcs, scaled_rank);
-                scaled_next[j - base_start] = val * inv_denom[j];
-                val
+        let k = j - base_start;
+        let base = if P {
+            plain_base
+        } else {
+            let mut base = tele_coef * teleport.map_or(params.uniform, |t| t[j]);
+            if self_loop && topo.dangling_mask[j] {
+                base += alpha * rank[j];
             }
+            base
         };
+        let val = base + row_sum::<D, C, W>(topo, op, scaled, alpha, j);
+        if D {
+            next_dec[k] = val * op.inv_denom[j];
+        }
+        if C {
+            next_conn[k] = val * op.conn[j];
+        }
         // The write buffer still holds x_{k−1}: accumulate the step dot
         // products the extrapolation uses to estimate the *signed*
         // contraction ratio (the residual alone cannot see oscillation).
-        let d_old = rank[j] - next[j - base_start];
+        let d_old = rank[j] - next[k];
         let d_new = val - rank[j];
         out.dot_dd += d_new * d_old;
         out.dot_oo += d_old * d_old;
         out.residual += d_new.abs();
-        out.sum_next += val;
-        if is_dangling {
-            out.dangling_next += val;
-        }
-        next[j - base_start] = val;
-    }
-    out
-}
-
-/// The tight variant of [`pull_range`] for graphs without dangling nodes
-/// under uniform teleportation: `next[j] = base + α·Σ` with one constant
-/// `base`, no policy or teleport work per destination.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn pull_range_plain(
-    range: Range<usize>,
-    topo: &PullTopo<'_>,
-    op: EngineOp<'_>,
-    base: f64,
-    alpha: f64,
-    rank: &[f64],
-    scaled_rank: &[f64],
-    next: &mut [f64],
-    scaled_next: &mut [f64],
-) -> RangeOut {
-    let mut out = RangeOut::default();
-    let base_start = range.start;
-    for j in range {
-        let (s, e) = topo.span(j);
-        let srcs = &topo.in_sources[s..e];
-        let val = match op {
-            EngineOp::Arc(in_probs) => base + alpha * gather_weighted(srcs, &in_probs[s..e], rank),
-            EngineOp::Factored { numer, inv_denom } => {
-                let val = base + alpha * numer[j] * gather_plain(srcs, scaled_rank);
-                scaled_next[j - base_start] = val * inv_denom[j];
-                val
+        if !P {
+            out.sum_next += val;
+            if topo.dangling_mask[j] {
+                out.dangling_next += val;
             }
-        };
-        let d_old = rank[j] - next[j - base_start];
-        let d_new = val - rank[j];
-        out.dot_dd += d_new * d_old;
-        out.dot_oo += d_old * d_old;
-        out.residual += d_new.abs();
-        next[j - base_start] = val;
+        }
+        next[k] = val;
     }
     out
 }
 
 /// Renormalize phase for [`DanglingPolicy::Renormalize`]: scale the new
 /// iterate by `inv_total` and compute the residual against the (already
-/// normalized) previous iterate. `scaled_next` (empty unless the factored
-/// kernel is active) is kept proportional.
+/// normalized) previous iterate. The scaled copies (empty for a term that
+/// does not run) are kept proportional.
 #[inline]
 fn scale_range(
     range: Range<usize>,
     rank: &[f64],
     next: &mut [f64],
-    scaled_next: &mut [f64],
+    next_scaled: (&mut [f64], &mut [f64]),
     inv_total: f64,
 ) -> RangeOut {
     let mut out = RangeOut::default();
     let base_start = range.start;
-    for x in scaled_next.iter_mut() {
+    for x in next_scaled.0.iter_mut().chain(next_scaled.1.iter_mut()) {
         *x *= inv_total;
     }
     for j in range {
@@ -2008,15 +2093,14 @@ const EXTRAPOLATION_COOLDOWN: usize = 3;
 
 /// Serial iteration loop over plain buffers. `rank` must hold the initial
 /// iterate; on return it holds the final scores. `scaled` is the reusable
-/// `rank·inv_denom` ping-pong pair factored operators use (cleared for arc
-/// operators). Returns `(iterations, residual)`.
+/// ping-pong pair of scaled iterates. Returns `(iterations, residual)`.
 fn drive_serial(
     topo: &PullTopo<'_>,
-    op: EngineOp<'_>,
+    op: &FactoredOp<'_>,
     config: &PageRankConfig,
     rank: &mut Vec<f64>,
     next: &mut Vec<f64>,
-    scaled: (&mut Vec<f64>, &mut Vec<f64>),
+    scaled: (&mut Scaled, &mut Scaled),
     teleport: &[f64],
 ) -> (usize, f64) {
     let n = rank.len();
@@ -2026,23 +2110,15 @@ fn drive_serial(
     } else {
         Some(teleport)
     };
-    let factored = matches!(op, EngineOp::Factored { .. });
     let (scaled_rank, scaled_next) = scaled;
-    if let EngineOp::Factored { inv_denom, .. } = op {
-        scaled_rank.clear();
-        scaled_rank.extend(rank.iter().zip(inv_denom).map(|(r, d)| r * d));
-        scaled_next.clear();
-        scaled_next.resize(n, 0.0);
-    } else {
-        scaled_rank.clear();
-        scaled_next.clear();
-    }
+    scaled_rank.scale(op, rank);
+    scaled_next.scale(op, rank);
     let mut params = PullParams {
         alpha: config.alpha,
         uniform,
         policy: config.dangling,
         dangling_mass: mass_at(topo.dangling_nodes, rank),
-        factored,
+        beta: op.beta,
     };
     let mut iterations = 0;
     let mut residual = f64::INFINITY;
@@ -2057,9 +2133,9 @@ fn drive_serial(
             op,
             teleport,
             rank,
-            scaled_rank,
+            (&scaled_rank.dec, &scaled_rank.conn),
             next,
-            scaled_next,
+            (&mut scaled_next.dec, &mut scaled_next.conn),
             &params,
         );
         if params.policy == DanglingPolicy::Renormalize {
@@ -2068,7 +2144,8 @@ fn drive_serial(
             } else {
                 1.0
             };
-            let scaled = scale_range(0..n, rank, next, scaled_next, inv_total);
+            let next_scaled = (&mut scaled_next.dec[..], &mut scaled_next.conn[..]);
+            let scaled = scale_range(0..n, rank, next, next_scaled, inv_total);
             residual = scaled.residual;
             // Scaling is linear, so the dangling partial scales with it.
             params.dangling_mass = out.dangling_next * inv_total;
@@ -2092,11 +2169,7 @@ fn drive_serial(
                 for (r, &o) in rank.iter_mut().zip(next.iter()) {
                     *r += (*r - o) * f;
                 }
-                if let EngineOp::Factored { inv_denom, .. } = op {
-                    for ((s, &r), &d) in scaled_rank.iter_mut().zip(rank.iter()).zip(inv_denom) {
-                        *s = r * d;
-                    }
-                }
+                scaled_rank.scale(op, rank);
                 params.dangling_mass = mass_at(topo.dangling_nodes, rank);
                 cooldown = EXTRAPOLATION_COOLDOWN;
                 prev_q = f64::NAN;
@@ -2120,24 +2193,46 @@ enum Phase {
     Exit = 2,
 }
 
-/// Shared buffers of a factored operator (see [`EngineOp::Factored`]).
+/// Shared operator tables (see [`FactoredOp`]).
 #[derive(Debug)]
-struct FactoredShared {
-    /// Destination factors `Θ_j^(−p)` (rewritten between grid points).
+struct FactoredShared<'a> {
+    /// Degree-term factors (rewritten between grid points).
     numer: SharedMut<f64>,
-    /// Source factors `1/denom_i` (rewritten between grid points).
     inv_denom: SharedMut<f64>,
-    /// `rank·inv_denom` ping-pong pair, flipped with the rank buffers.
-    scaled: [SharedMut<f64>; 2],
+    /// Connection-term factors (rewritten between grid points).
+    conn: SharedMut<f64>,
+    theta: &'a [f64],
+    /// Scaled-iterate ping-pong pair (`[dec, conn]` each, see [`Scaled`]),
+    /// flipped with the rank buffers.
+    scaled: [[SharedMut<f64>; 2]; 2],
+}
+
+impl FactoredShared<'_> {
+    /// The operator at blend weight `beta`.
+    ///
+    /// # Safety
+    /// No thread may write the tables while the result is alive: the main
+    /// thread rewrites them only while the workers are parked.
+    unsafe fn op(&self, beta: f64) -> FactoredOp<'_> {
+        // SAFETY: the caller guarantees no concurrent writes.
+        unsafe {
+            FactoredOp {
+                numer: self.numer.slice(),
+                inv_denom: self.inv_denom.slice(),
+                conn: self.conn.slice(),
+                theta: self.theta,
+                beta,
+            }
+        }
+    }
 }
 
 /// Everything the pooled workers share.
 struct PoolShared<'a> {
     topo: PullTopo<'a>,
     teleport: Option<&'a [f64]>,
-    in_probs: SharedMut<f64>,
     bufs: [SharedMut<f64>; 2],
-    factored: FactoredShared,
+    tables: FactoredShared<'a>,
     flip: AtomicUsize,
     phase: AtomicU8,
     params: UnsafeCell<PullParams>,
@@ -2155,9 +2250,8 @@ unsafe impl Sync for PoolShared<'_> {}
 impl<'a> PoolShared<'a> {
     fn new(
         topo: &PullTopo<'a>,
-        in_probs: SharedMut<f64>,
         bufs: [SharedMut<f64>; 2],
-        factored: FactoredShared,
+        tables: FactoredShared<'a>,
         teleport: Option<&'a [f64]>,
         config: &PageRankConfig,
         workers: usize,
@@ -2166,9 +2260,8 @@ impl<'a> PoolShared<'a> {
         Self {
             topo: *topo,
             teleport,
-            in_probs,
             bufs,
-            factored,
+            tables,
             flip: AtomicUsize::new(0),
             phase: AtomicU8::new(Phase::Compute as u8),
             params: UnsafeCell::new(PullParams {
@@ -2176,7 +2269,7 @@ impl<'a> PoolShared<'a> {
                 uniform: 1.0 / n.max(1) as f64,
                 policy: config.dangling,
                 dangling_mass: 0.0,
-                factored: false,
+                beta: 0.0,
             }),
             inv_total: UnsafeCell::new(1.0),
             partials: (0..workers).map(|_| PadCell::default()).collect(),
@@ -2266,7 +2359,6 @@ fn drive_pooled_point(
         };
         if config.dangling != DanglingPolicy::Renormalize && cooldown == 0 {
             if let Some(f) = extrapolation_factor(prev_q, q) {
-                let factored = unsafe { (*shared.params.get()).factored };
                 // SAFETY: workers are parked; main thread owns the bufs.
                 unsafe {
                     let rank = shared.bufs[flip].slice_mut();
@@ -2274,14 +2366,14 @@ fn drive_pooled_point(
                     for (r, &o) in rank.iter_mut().zip(old) {
                         *r += (*r - o) * f;
                     }
-                    if factored {
-                        let fs = &shared.factored;
-                        let scaled = fs.scaled[flip].slice_mut();
-                        let invd = fs.inv_denom.slice();
-                        for ((s, &r), &d) in scaled.iter_mut().zip(rank.iter()).zip(invd) {
-                            *s = r * d;
-                        }
-                    }
+                    let fs = &shared.tables;
+                    let [dec, conn] = &fs.scaled[flip];
+                    scale_into(
+                        &fs.op((*shared.params.get()).beta),
+                        rank,
+                        dec.slice_mut(),
+                        conn.slice_mut(),
+                    );
                     dangling_mass = mass_at(topo.dangling_nodes, rank);
                 }
                 cooldown = EXTRAPOLATION_COOLDOWN;
@@ -2303,76 +2395,59 @@ fn drive_pooled_point(
 fn worker_loop(w: usize, range: Range<usize>, shared: &PoolShared<'_>) {
     loop {
         shared.start.wait();
-        match shared.phase.load(Ordering::Acquire) {
-            x if x == Phase::Exit as u8 => return,
-            x if x == Phase::Compute as u8 => {
-                let flip = shared.flip.load(Ordering::Acquire);
-                let params = unsafe { *shared.params.get() };
-                // SAFETY: during the compute phase the read buffers are only
-                // read (by every worker) and each worker writes disjoint
-                // windows of the write buffers.
-                let rank = unsafe { shared.bufs[flip].slice() };
-                let next = unsafe { shared.bufs[flip ^ 1].range_mut(range.clone()) };
-                let mut empty: [f64; 0] = [];
-                let (op, scaled_rank, scaled_next) = if params.factored {
-                    let f = &shared.factored;
-                    // SAFETY: same protocol as the rank buffers.
-                    unsafe {
-                        (
-                            EngineOp::Factored {
-                                numer: f.numer.slice(),
-                                inv_denom: f.inv_denom.slice(),
-                            },
-                            f.scaled[flip].slice(),
-                            f.scaled[flip ^ 1].range_mut(range.clone()),
-                        )
-                    }
-                } else {
-                    // SAFETY: operator values are immutable during a phase.
-                    (
-                        EngineOp::Arc(unsafe { shared.in_probs.slice() }),
-                        &[][..],
-                        &mut empty[..],
-                    )
-                };
-                let out = pull_range(
-                    range.clone(),
-                    &shared.topo,
-                    op,
-                    shared.teleport,
-                    rank,
-                    scaled_rank,
-                    next,
-                    scaled_next,
-                    &params,
-                );
-                // SAFETY: cell `w` is written only by worker `w`.
-                unsafe { *shared.partials[w].0.get() = out };
-            }
-            _ => {
-                // Scale phase (Renormalize policy).
-                let flip = shared.flip.load(Ordering::Acquire);
-                let params = unsafe { *shared.params.get() };
-                // SAFETY: same disjoint-window protocol as the compute phase.
-                let rank = unsafe { shared.bufs[flip].slice() };
-                let next = unsafe { shared.bufs[flip ^ 1].range_mut(range.clone()) };
-                let mut empty: [f64; 0] = [];
-                let scaled_next = if params.factored {
-                    let f = &shared.factored;
-                    // SAFETY: same protocol as the rank buffers.
-                    unsafe { f.scaled[flip ^ 1].range_mut(range.clone()) }
-                } else {
-                    &mut empty[..]
-                };
-                let inv_total = unsafe { *shared.inv_total.get() };
-                let mut out = scale_range(range.clone(), rank, next, scaled_next, inv_total);
-                // Dangling mass scales linearly; reuse the compute-phase
-                // partial rather than re-testing every node.
-                let prev = unsafe { (*shared.partials[w].0.get()).dangling_next };
-                out.dangling_next = prev * inv_total;
-                unsafe { *shared.partials[w].0.get() = out };
-            }
+        let phase = shared.phase.load(Ordering::Acquire);
+        if phase == Phase::Exit as u8 {
+            return;
         }
+        let flip = shared.flip.load(Ordering::Acquire);
+        // SAFETY: the main thread writes the parameters only while the
+        // workers are parked; the start barrier published them.
+        let params = unsafe { *shared.params.get() };
+        let f = &shared.tables;
+        let [next_dec, next_conn] = &f.scaled[flip ^ 1];
+        // SAFETY: during a phase the read buffers (and the operator
+        // tables) are only read, by every worker, and each worker writes
+        // disjoint windows of the write buffers.
+        let (rank, next, next_scaled) = unsafe {
+            (
+                shared.bufs[flip].slice(),
+                shared.bufs[flip ^ 1].range_mut(range.clone()),
+                (
+                    next_dec.range_mut(range.clone()),
+                    next_conn.range_mut(range.clone()),
+                ),
+            )
+        };
+        let out = if phase == Phase::Compute as u8 {
+            let [dec, conn] = &f.scaled[flip];
+            // SAFETY: as above.
+            let (op, scaled) = unsafe { (f.op(params.beta), (dec.slice(), conn.slice())) };
+            pull_range(
+                range.clone(),
+                &shared.topo,
+                &op,
+                shared.teleport,
+                rank,
+                scaled,
+                next,
+                next_scaled,
+                &params,
+            )
+        } else {
+            // Scale phase (Renormalize policy).
+            // SAFETY: written by the main thread while the workers were
+            // parked, like the parameters.
+            let inv_total = unsafe { *shared.inv_total.get() };
+            let mut out = scale_range(range.clone(), rank, next, next_scaled, inv_total);
+            // Dangling mass scales linearly; reuse the compute-phase
+            // partial rather than re-testing every node.
+            // SAFETY: cell `w` is accessed only by worker `w` during a phase.
+            let prev = unsafe { (*shared.partials[w].0.get()).dangling_next };
+            out.dangling_next = prev * inv_total;
+            out
+        };
+        // SAFETY: cell `w` is written only by worker `w`.
+        unsafe { *shared.partials[w].0.get() = out };
         shared.end.wait();
     }
 }
@@ -2539,37 +2614,9 @@ mod tests {
     }
 
     #[test]
-    fn operator_update_reuses_buffers() {
-        // Blended beta > 0 exercises the arc-mode (per-arc value) path.
-        let g = barabasi_albert(80, 3, 2).unwrap();
-        let mut engine = Engine::with_threads(&g, 2);
-        engine
-            .set_model(TransitionModel::Blended { p: 1.0, beta: 0.5 })
-            .unwrap();
-        let ptr_before = engine.in_probs().as_ptr();
-        engine
-            .set_model(TransitionModel::Blended { p: -1.0, beta: 0.5 })
-            .unwrap();
-        assert_eq!(
-            ptr_before,
-            engine.in_probs().as_ptr(),
-            "in-place operator update"
-        );
-        // And the operator must equal a from-scratch build scattered the
-        // same way.
-        let model = TransitionModel::Blended { p: -1.0, beta: 0.5 };
-        let matrix = TransitionMatrix::build(&g, model);
-        let mut expect = vec![0.0; g.num_arcs()];
-        engine
-            .csc()
-            .scatter_arc_values(matrix.arc_probs(), &mut expect);
-        assert_close(engine.in_probs(), &expect, 1e-15);
-    }
-
-    #[test]
-    fn factored_and_general_operator_paths_agree() {
-        // The factored path (beta = 0) and the log-sum-exp arc path must
-        // reach the same fixed points.
+    fn degree_term_matches_oracle_and_rejects_extreme_p() {
+        // The factored degree term reaches the oracle's (log-sum-exp)
+        // fixed points across the paper's grid ...
         let g = barabasi_albert(120, 4, 6).unwrap();
         let cfg = PageRankConfig::default();
         let mut engine = Engine::with_threads(&g, 2);
@@ -2580,14 +2627,27 @@ mod tests {
             assert_close(&serial.scores, &r.scores, 1e-8);
             assert!((r.scores.iter().sum::<f64>() - 1.0).abs() < 1e-9, "p={p}");
         }
-        // Extreme p falls back to the log-sum-exp arc path and must still
-        // produce a stochastic operator and a valid solve.
-        engine
-            .set_model(TransitionModel::DegreeDecoupled { p: 400.0 })
-            .unwrap();
-        assert!(engine.in_probs().iter().all(|x| x.is_finite() && *x >= 0.0));
+        // ... and past `exp`'s safe range it is a typed error that names
+        // the node, p and the limit, leaving the loaded operator intact.
+        let extreme = TransitionModel::DegreeDecoupled { p: 400.0 };
+        let Err(SolverError::InvalidModel(msg)) = engine.set_model(extreme) else {
+            panic!("p = 400 must be rejected");
+        };
+        assert!(msg.contains("node") && msg.contains("400") && msg.contains("600"));
+        assert!(matches!(
+            engine.solve_model(extreme),
+            Err(SolverError::InvalidModel(_))
+        ));
         let r = engine.solve().unwrap();
-        assert!((r.scores.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        let p4 = TransitionModel::DegreeDecoupled { p: 4.0 };
+        assert_close(&pagerank(&g, p4, &cfg).scores, &r.scores, 1e-8);
+        // The connection term evaluates no Θ^(−p): β = 1 is never checked.
+        engine
+            .set_model(TransitionModel::Blended {
+                p: 400.0,
+                beta: 1.0,
+            })
+            .unwrap();
     }
 
     #[test]
@@ -2893,22 +2953,32 @@ mod tests {
     }
 
     #[test]
-    fn mixed_factored_and_arc_sweep() {
-        // A sweep whose points alternate between the factored and arc
-        // operator representations (moderate and extreme p) must match
-        // pointwise solves.
+    fn sweep_fails_before_any_point_past_the_exponent_range() {
+        // A sweep that holds one out-of-range point solves none of them;
+        // the engine still solves in-range models afterwards, and mixed
+        // β points match pointwise solves.
         let g = barabasi_albert(90, 3, 8).unwrap();
-        let models = [
-            TransitionModel::DegreeDecoupled { p: 0.5 },
-            TransitionModel::DegreeDecoupled { p: 400.0 },
-            TransitionModel::DegreeDecoupled { p: -1.0 },
-        ];
+        let cfg = PageRankConfig::default();
         for threads in [1, 4] {
             let mut engine = Engine::with_threads(&g, threads);
+            let models = [
+                TransitionModel::DegreeDecoupled { p: 0.5 },
+                TransitionModel::DegreeDecoupled { p: 400.0 },
+            ];
+            assert!(matches!(
+                engine.sweep(&models, true),
+                Err(SolverError::InvalidModel(_))
+            ));
+            assert_eq!(engine.model(), None, "no point was loaded");
+            let models = [
+                TransitionModel::DegreeDecoupled { p: 0.5 },
+                TransitionModel::Blended { p: -1.0, beta: 0.5 },
+                TransitionModel::Standard,
+                TransitionModel::DegreeDecoupled { p: -1.0 },
+            ];
             let results = engine.sweep(&models, true).unwrap();
             for (&model, r) in models.iter().zip(&results) {
-                let serial = pagerank(&g, model, &PageRankConfig::default());
-                assert_close(&serial.scores, &r.scores, 1e-7);
+                assert_close(&pagerank(&g, model, &cfg).scores, &r.scores, 1e-7);
             }
         }
     }

@@ -23,8 +23,9 @@
 /// notes.
 pub(crate) const GATHER_LANES: usize = 4;
 
-/// Blocked gather-sum `Σ values[srcs[k]]` — the inner loop of the factored
-/// pull kernel (per-arc weights pre-folded into `values`).
+/// Blocked gather-sum `Σ values[srcs[k]]` — the inner loop of the pull
+/// kernel's degree term (and of its connection term on unweighted
+/// graphs): the per-source factors are pre-folded into `values`.
 ///
 /// The loop body works on fixed-width `[u32; GATHER_LANES]` blocks via
 /// `chunks_exact`, so the only bounds checks left are the gather reads
@@ -50,10 +51,11 @@ pub(crate) fn gather_plain(srcs: &[u32], values: &[f64]) -> f64 {
 }
 
 /// Blocked weighted gather `Σ weights[k] · values[srcs[k]]` — the inner
-/// loop of the arc-mode pull kernel. Same blocked shape as
-/// [`gather_plain`]; `weights` parallels `srcs` (both are slices of one
-/// CSC span), so the lanes multiply from a bounds-check-free fixed-width
-/// block on each side.
+/// loop of the pull kernel's connection term on weighted graphs, where
+/// `weights` are the arc weights in CSC order and `values` the iterate
+/// scaled by `β/Θ_i`. Same blocked shape as [`gather_plain`]; `weights`
+/// parallels `srcs` (both are slices of one CSC span), so the lanes
+/// multiply from a bounds-check-free fixed-width block on each side.
 #[inline]
 pub(crate) fn gather_weighted(srcs: &[u32], weights: &[f64], values: &[f64]) -> f64 {
     debug_assert_eq!(srcs.len(), weights.len());

@@ -22,14 +22,15 @@
 //!    their arcs did not; on weighted graphs a pure re-weight shifts `Θ`
 //!    the same way an arc flip does).
 //! 2. **Exact residual seeding.** `r₀ = α·(T_new − T_old)·x̂` decomposes
-//!    column-wise, and the *old* column is exactly reconstructible from
-//!    the delta: pre-batch degrees and `Θ` nets give the pre-batch
-//!    destination factors and denominators (factored operator), and the
-//!    delta's pre-batch arc weights (`deleted_weights`, the `old` halves
-//!    of `reweighted`) rebuild the pre-batch neighbor list for the
-//!    arc-mode blend `β·T_conn + (1−β)·T_D` column by column. Each changed
-//!    column therefore seeds the residual as a **virtual push** in
-//!    `O(out-degree)` — no row-side in-arc pulls at all. This generalizes
+//!    column-wise, and the *old* column of the factored operator
+//!    `T[j,i] = numer[j]·inv_denom[i] + w(i→j)·conn[i]` is exactly
+//!    reconstructible from the delta: pre-batch degrees and `Θ` nets give
+//!    the degree term's pre-batch destination factors and denominators,
+//!    and the delta's pre-batch arc weights (`deleted_weights`, the `old`
+//!    halves of `reweighted`) give the connection term's pre-batch weights
+//!    and `Θ_i`. Each changed column therefore seeds the residual as a
+//!    **virtual push** in `O(out-degree)` — no row-side in-arc pulls at
+//!    all. This generalizes
 //!    [`crate::approx::forward_push`], which handles only the standard
 //!    random-walk operator and a single seed's indicator residual.
 //! 3. **Signed push.** Repeatedly settle residual `ρ` at a node into its
@@ -65,8 +66,8 @@
 //! [`Workspace`](crate::workspace::Workspace): once sized for a graph,
 //! steady-state serving performs zero allocations here.
 
+use crate::engine::{conn_factor, FactoredOp};
 use crate::exec::{sim_event, ExecBarrier};
-use crate::kernel::DegreeKernel;
 use crate::pagerank::DanglingPolicy;
 use crate::pool::{PadCell, SharedMut, WorkerPool};
 use crate::workspace::ResidualScratch;
@@ -76,37 +77,14 @@ use d2pr_graph::transpose::CscStructure;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// The operator representation a localized solve pushes through — mirrors
-/// the engine's two forms (see `EngineOp`), but needs *both* orientations:
-/// CSC-ordered values to evaluate residual rows, CSR-ordered values to push
-/// along out-arcs. The factored form serves both from its per-node factors.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum LocalOp<'a> {
-    /// Rank-one factored operator `T[j,i] = numer[j]·inv_denom[i]`.
-    Factored {
-        /// Destination factors `Θ_j^(−p)`.
-        numer: &'a [f64],
-        /// Source factors `1/Σ_{t∈N(i)} Θ_t^(−p)` (0 for dangling `i`).
-        inv_denom: &'a [f64],
-    },
-    /// Materialized per-arc probabilities.
-    Arc {
-        /// CSR-ordered per-arc probabilities (push + column orientation).
-        csr_probs: &'a [f64],
-    },
-}
-
 /// Solve parameters, extracted from the engine's configuration.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LocalizedParams {
     /// Residual probability `α`.
     pub alpha: f64,
     /// De-coupling weight `p` of the loaded model (used to reconstruct
-    /// pre-batch destination factors and `T_D` columns when seeding).
+    /// pre-batch destination factors when seeding).
     pub p: f64,
-    /// Blend weight `β` of the loaded model (arc-mode column
-    /// reconstruction needs the `T_conn`/`T_D` split).
-    pub beta: f64,
     /// Dangling policy (`Renormalize` only without dangling nodes).
     pub policy: DanglingPolicy,
     /// Stop once the tracked `‖r‖₁` drops below this (the engine's L1
@@ -158,9 +136,9 @@ pub(crate) struct LocalizedStats {
 /// return it holds the refreshed (or, when `converged == false`,
 /// partially refreshed) solution. Callers normalize the converged result
 /// to the simplex, which also realizes the closed-form dangling rescale —
-/// see module docs. `theta` is the **post-batch** destination `Θ` table
-/// (degree/`out_weight`); pre-batch values are reconstructed from it and
-/// the delta's per-source nets. The caller guarantees: delta consistent
+/// see module docs. `op.theta` is the **post-batch** destination `Θ`
+/// table (degree/`out_weight`); pre-batch values are reconstructed from it
+/// and the delta's per-source nets. The caller guarantees: delta consistent
 /// with `graph` (weights included), fixed node count (node-churn batches
 /// change the teleport vector itself and route to the warm sweep), and no
 /// dangling nodes under `Renormalize`.
@@ -176,8 +154,7 @@ pub(crate) fn solve_localized(
     graph: &CsrGraph,
     csc: &CscStructure,
     dangling_mask: &[bool],
-    theta: &[f64],
-    op: &LocalOp<'_>,
+    op: &FactoredOp<'_>,
     params: &LocalizedParams,
     delta: &ArcDelta,
     rank: &mut [f64],
@@ -244,8 +221,8 @@ pub(crate) fn solve_localized(
     // Pre-batch Θ of any node: the post-batch table minus the delta's net.
     let theta_old_at = |t: u32| -> f64 {
         match theta_changes.binary_search_by_key(&t, |&(w, _)| w) {
-            Ok(k) => theta[t as usize] - theta_changes[k].1,
-            Err(_) => theta[t as usize],
+            Ok(k) => op.theta[t as usize] - theta_changes[k].1,
+            Err(_) => op.theta[t as usize],
         }
     };
 
@@ -261,203 +238,143 @@ pub(crate) fn solve_localized(
     //    neglected; teleport-shaped parts — dangling-mass changes under
     //    RedistributeTeleport — are dropped as a pure rescale, module
     //    docs).
-    match *op {
-        LocalOp::Factored { numer, inv_denom } => {
-            // Column-wise "virtual pushes": for every changed column `i`,
-            // the residual contribution is `α·x̂_i·(T_new[·,i] −
-            // T_old[·,i])`, and the *old* factored column is exactly
-            // reconstructible from the delta — `O(deg(i) + Δ_i·log)` per
-            // column, no row pulls at all.
-            let p = params.p;
-            // Pre-batch destination factors of Θ-changed nodes, sorted —
-            // Θ_old comes from the post-batch table minus the delta's net
-            // (weight-aware: a re-weight shifts Θ without an arc flip).
-            let numer_old_changed: Vec<(u32, f64)> = theta_changes
-                .iter()
-                .filter(|&&(_, net)| net != 0.0)
-                .map(|&(w, _)| {
-                    let old_theta = theta_old_at(w);
-                    (w, (-p * old_theta.max(1.0).ln()).exp())
-                })
-                .collect();
-            let numer_old = |t: u32, numer: &[f64]| -> f64 {
-                match numer_old_changed.binary_search_by_key(&t, |&(w, _)| w) {
-                    Ok(k) => numer_old_changed[k].1,
-                    Err(_) => numer[t as usize],
-                }
-            };
-            for &i in cols.iter() {
-                let iu = i as usize;
-                let xi = rank[iu];
-                if xi == 0.0 {
-                    continue;
-                }
-                let ins = &delta.inserted[source_range(&delta.inserted, i)];
-                let dels = &delta.deleted[source_range(&delta.deleted, i)];
-                let net = match source_changes.binary_search_by_key(&i, |&(v, _)| v) {
-                    Ok(k) => source_changes[k].1,
-                    Err(_) => 0,
-                };
-                let (s, e) = (offsets[iu], offsets[iu + 1]);
-                let old_deg = (e - s) as i64 - net;
-                stats.work += (e - s) + dels.len();
-                // Reconstruct the old denominator over N_old(i) =
-                // (N_new(i) ∖ inserted) ∪ deleted.
-                let inv_d_old = if old_deg > 0 {
-                    let mut d_old = 0.0;
-                    for &t in &targets[s..e] {
-                        if ins.binary_search_by_key(&t, |&(_, tt)| tt).is_err() {
-                            d_old += numer_old(t, numer);
-                        }
-                    }
-                    for &(_, t) in dels {
-                        d_old += numer_old(t, numer);
-                    }
-                    1.0 / d_old
-                } else {
-                    0.0 // was dangling: no old arc column
-                };
-                let inv_d_new = inv_denom[iu];
+    //
+    //    Column-wise "virtual pushes": for every changed column `i`, the
+    //    residual contribution is `α·x̂_i·(T_new[·,i] − T_old[·,i])`, and
+    //    the *old* column is exactly reconstructible from the delta —
+    //    `O(deg(i) + Δ_i·log)` per column, no row pulls at all.
+    let p = params.p;
+    let beta = op.beta;
+    let FactoredOp {
+        numer,
+        inv_denom,
+        conn,
+        theta,
+        ..
+    } = *op;
+    // Pre-batch destination factors of Θ-changed nodes, sorted — Θ_old
+    // comes from the post-batch table minus the delta's net (weight-aware:
+    // a re-weight shifts Θ without an arc flip).
+    let numer_old_changed: Vec<(u32, f64)> = theta_changes
+        .iter()
+        .filter(|&&(_, net)| net != 0.0)
+        .map(|&(w, _)| {
+            let old_theta = theta_old_at(w);
+            (w, (-p * old_theta.max(1.0).ln()).exp())
+        })
+        .collect();
+    let numer_old = |t: u32, numer: &[f64]| -> f64 {
+        match numer_old_changed.binary_search_by_key(&t, |&(w, _)| w) {
+            Ok(k) => numer_old_changed[k].1,
+            Err(_) => numer[t as usize],
+        }
+    };
+    for &i in cols.iter() {
+        let iu = i as usize;
+        let xi = rank[iu];
+        if xi == 0.0 {
+            continue;
+        }
+        let ins = &delta.inserted[source_range(&delta.inserted, i)];
+        let del_range = source_range(&delta.deleted, i);
+        let dels = &delta.deleted[del_range.clone()];
+        let inserted = |t: u32| ins.binary_search_by_key(&t, |&(_, tt)| tt).is_ok();
+        let net = match source_changes.binary_search_by_key(&i, |&(v, _)| v) {
+            Ok(k) => source_changes[k].1,
+            Err(_) => 0,
+        };
+        let (s, e) = (offsets[iu], offsets[iu + 1]);
+        let old_deg = (e - s) as i64 - net;
+        stats.work += (e - s) + dels.len();
+        if op.degree_term() {
+            // Reconstruct the old denominator over N_old(i) =
+            // (N_new(i) ∖ inserted) ∪ deleted.
+            let inv_d_old = if old_deg > 0 {
+                let mut d_old = 0.0;
                 for &t in &targets[s..e] {
-                    let tu = t as usize;
-                    let mut diff = numer[tu] * inv_d_new;
-                    if ins.binary_search_by_key(&t, |&(_, tt)| tt).is_err() {
-                        diff -= numer_old(t, numer) * inv_d_old;
-                    }
-                    if diff != 0.0 {
-                        residual[tu] += alpha * xi * diff;
-                        mark(tu, touched_mark, touched);
+                    if !inserted(t) {
+                        d_old += numer_old(t, numer);
                     }
                 }
                 for &(_, t) in dels {
-                    if inv_d_old != 0.0 {
-                        let tu = t as usize;
-                        residual[tu] -= alpha * xi * numer_old(t, numer) * inv_d_old;
-                        mark(tu, touched_mark, touched);
-                    }
+                    d_old += numer_old(t, numer);
                 }
-                // SelfLoop: a dangling-status flip adds/removes the `e_i`
-                // column (Redistribute's teleport-shaped flip is the
-                // rescale; Renormalize has no dangling nodes here).
-                if params.policy == DanglingPolicy::SelfLoop {
-                    let was = old_deg == 0;
-                    let now = s == e;
-                    if now && !was {
-                        residual[iu] += alpha * xi;
-                        mark(iu, touched_mark, touched);
-                    } else if was && !now {
-                        residual[iu] -= alpha * xi;
-                        mark(iu, touched_mark, touched);
-                    }
+                (1.0 - beta) / d_old
+            } else {
+                0.0 // was dangling: no old arc column
+            };
+            let inv_d_new = inv_denom[iu];
+            for &t in &targets[s..e] {
+                let tu = t as usize;
+                let mut diff = numer[tu] * inv_d_new;
+                if !inserted(t) {
+                    diff -= numer_old(t, numer) * inv_d_old;
+                }
+                if diff != 0.0 {
+                    residual[tu] += alpha * xi * diff;
+                    mark(tu, touched_mark, touched);
+                }
+            }
+            for &(_, t) in dels {
+                if inv_d_old != 0.0 {
+                    let tu = t as usize;
+                    residual[tu] -= alpha * xi * numer_old(t, numer) * inv_d_old;
+                    mark(tu, touched_mark, touched);
                 }
             }
         }
-        LocalOp::Arc { csr_probs } => {
-            // Arc-mode (β > 0, or extreme p) column-wise seeding: for every
-            // changed column `i`, add `α·x̂_i·T_new[·,i]` straight from the
-            // materialized CSR probabilities and subtract the reconstructed
-            // pre-batch column `α·x̂_i·T_old[·,i]`. The pre-batch column is
-            // rebuilt exactly: pre-batch neighbors = (new ∖ inserted) ∪
-            // deleted, pre-batch weights from `deleted_weights` / the `old`
-            // halves of `reweighted`, pre-batch Θ from the table minus the
-            // per-source nets — then the same `β·T_conn + (1−β)·T_D`
-            // formula as [`crate::transition::fill_arc_probs`]. Costs
-            // `O(deg)` per column, no row-side in-arc pulls.
-            let beta = params.beta;
-            let kernel = DegreeKernel::new(params.p);
-            let weighted = graph.is_weighted();
-            // Pre-batch (target, weight) list of one column + kernel
-            // scratch, reused across columns.
-            let mut old_arcs: Vec<(u32, f64)> = Vec::new();
-            let mut old_thetas: Vec<f64> = Vec::new();
-            let mut old_kern: Vec<f64> = Vec::new();
-            for &i in cols.iter() {
-                let iu = i as usize;
-                let xi = rank[iu];
-                if xi == 0.0 {
-                    continue;
+        if op.conn_term() {
+            // Connection term `w(i→t)·conn[i]`: pre-batch weights of the
+            // retained arcs come from the `old` halves of `reweighted`,
+            // the deleted ones from `deleted_weights`, and the pre-batch
+            // `conn` from their sum. A source whose weights sum to 0
+            // weighs each arc 1 (uniform fallback).
+            let ws = graph.neighbor_weights(i);
+            let del_ws = &delta.deleted_weights[del_range];
+            let rews = &delta.reweighted[reweight_range(&delta.reweighted, i)];
+            stats.work += rews.len();
+            let w_new = |k: usize| ws.map_or(1.0, |ws| ws[k - s]);
+            let w_old = |k: usize, t: u32| match rews.binary_search_by_key(&t, |r| r.1) {
+                Ok(r) => rews[r].2,
+                Err(_) => w_new(k),
+            };
+            let mut total_old: f64 = del_ws.iter().sum();
+            for (k, &t) in (s..e).zip(&targets[s..e]) {
+                if !inserted(t) {
+                    total_old += w_old(k, t);
                 }
-                let (s, e) = (offsets[iu], offsets[iu + 1]);
-                // New column straight off the current operator.
-                stats.work += e - s;
-                for k in s..e {
-                    let tu = targets[k] as usize;
-                    if csr_probs[k] != 0.0 {
-                        residual[tu] += alpha * xi * csr_probs[k];
-                        mark(tu, touched_mark, touched);
-                    }
+            }
+            let conn_old = conn_factor(beta, total_old, old_deg.max(0) as u32);
+            let (uniform_old, uniform_new) = (total_old == 0.0, theta[iu] == 0.0);
+            for (k, &t) in (s..e).zip(&targets[s..e]) {
+                let tu = t as usize;
+                let mut diff = if uniform_new { 1.0 } else { w_new(k) } * conn[iu];
+                if !inserted(t) {
+                    diff -= if uniform_old { 1.0 } else { w_old(k, t) } * conn_old;
                 }
-                // Pre-batch neighbor list, ascending by target: merge the
-                // retained new arcs with the deleted ones.
-                let ins = &delta.inserted[source_range(&delta.inserted, i)];
-                let del_range = source_range(&delta.deleted, i);
-                let dels = &delta.deleted[del_range.clone()];
-                let del_ws = &delta.deleted_weights[del_range];
-                let rew_range = reweight_range(&delta.reweighted, i);
-                let rews = &delta.reweighted[rew_range];
-                stats.work += dels.len() + rews.len();
-                old_arcs.clear();
-                let ws_new = graph.neighbor_weights(i);
-                let mut dk = 0usize;
-                for k in s..e {
-                    let t = targets[k];
-                    if ins.binary_search_by_key(&t, |&(_, tt)| tt).is_ok() {
-                        continue;
-                    }
-                    while dk < dels.len() && dels[dk].1 < t {
-                        old_arcs.push((dels[dk].1, del_ws[dk]));
-                        dk += 1;
-                    }
-                    let w = match rews.binary_search_by_key(&t, |&(_, tt, _, _)| tt) {
-                        Ok(r) => rews[r].2,
-                        Err(_) => ws_new.map_or(1.0, |ws| ws[k - s]),
-                    };
-                    old_arcs.push((t, w));
+                if diff != 0.0 {
+                    residual[tu] += alpha * xi * diff;
+                    mark(tu, touched_mark, touched);
                 }
-                for (d, &w) in dels[dk..].iter().zip(&del_ws[dk..]) {
-                    old_arcs.push((d.1, w));
-                }
-                // Subtract the pre-batch column.
-                if !old_arcs.is_empty() {
-                    let k_old = old_arcs.len() as f64;
-                    let total_w: f64 = old_arcs.iter().map(|&(_, w)| w).sum();
-                    if beta < 1.0 {
-                        old_thetas.clear();
-                        old_thetas.extend(old_arcs.iter().map(|&(t, _)| theta_old_at(t)));
-                        kernel.normalize_into(&old_thetas, &mut old_kern);
-                    }
-                    for (j, &(t, w)) in old_arcs.iter().enumerate() {
-                        let mut prob = 0.0;
-                        if beta > 0.0 {
-                            prob += if weighted && total_w > 0.0 {
-                                beta * (w / total_w)
-                            } else {
-                                beta / k_old
-                            };
-                        }
-                        if beta < 1.0 {
-                            prob += (1.0 - beta) * old_kern[j];
-                        }
-                        let tu = t as usize;
-                        residual[tu] -= alpha * xi * prob;
-                        mark(tu, touched_mark, touched);
-                    }
-                }
-                // Dangling-status flip: SelfLoop adds/removes the `e_i`
-                // column; RedistributeTeleport's flip is teleport-shaped
-                // (the closed-form rescale); Renormalize never gets here
-                // with dangling nodes (engine gate).
-                if params.policy == DanglingPolicy::SelfLoop {
-                    let was = old_arcs.is_empty();
-                    let now = s == e;
-                    if now && !was {
-                        residual[iu] += alpha * xi;
-                        mark(iu, touched_mark, touched);
-                    } else if was && !now {
-                        residual[iu] -= alpha * xi;
-                        mark(iu, touched_mark, touched);
-                    }
-                }
+            }
+            for (&(_, t), &w) in dels.iter().zip(del_ws) {
+                let tu = t as usize;
+                residual[tu] -= alpha * xi * if uniform_old { 1.0 } else { w } * conn_old;
+                mark(tu, touched_mark, touched);
+            }
+        }
+        // SelfLoop: a dangling-status flip adds/removes the `e_i` column
+        // (Redistribute's teleport-shaped flip is the rescale; Renormalize
+        // has no dangling nodes here).
+        if params.policy == DanglingPolicy::SelfLoop {
+            let was = old_deg == 0;
+            let now = s == e;
+            if now && !was {
+                residual[iu] += alpha * xi;
+                mark(iu, touched_mark, touched);
+            } else if was && !now {
+                residual[iu] -= alpha * xi;
+                mark(iu, touched_mark, touched);
             }
         }
     }
@@ -494,16 +411,6 @@ pub(crate) fn solve_localized(
     }
 
     // -- Signed push with an adaptive threshold schedule.
-    let dbg = std::env::var("D2PR_DEBUG_PUSH").is_ok();
-    if dbg {
-        eprintln!(
-            "push: |J|={} mass0={:.3e} tol={:.1e} budget={}",
-            touched.len(),
-            mass,
-            params.tolerance,
-            params.work_budget
-        );
-    }
     let stop = params.tolerance;
     // Start coarse — the initial residual is concentrated near the delta,
     // so the first rounds drain the big entries with few pushes; rounds
@@ -560,39 +467,18 @@ pub(crate) fn solve_localized(
             stats.pushes += 1;
             rank[iu] += rho;
             residual[iu] = 0.0;
-            match *op {
-                LocalOp::Arc { csr_probs, .. } => {
-                    for k in s..e {
-                        let j = targets[k] as usize;
-                        let new = residual[j] + alpha * rho * csr_probs[k];
-                        residual[j] = new;
-                        if !touched_mark[j] {
-                            touched_mark[j] = true;
-                            touched.push(j as u32);
-                        }
-                        if new.abs() >= theta && !in_queue[j] {
-                            in_queue[j] = true;
-                            queue.push_back(j as u32);
-                        }
-                    }
+            op.scatter(graph, iu, alpha * rho, |j, c| {
+                let new = residual[j] + c;
+                residual[j] = new;
+                if !touched_mark[j] {
+                    touched_mark[j] = true;
+                    touched.push(j as u32);
                 }
-                LocalOp::Factored { numer, inv_denom } => {
-                    let scale = alpha * rho * inv_denom[iu];
-                    for &jt in &targets[s..e] {
-                        let j = jt as usize;
-                        let new = residual[j] + scale * numer[j];
-                        residual[j] = new;
-                        if !touched_mark[j] {
-                            touched_mark[j] = true;
-                            touched.push(j as u32);
-                        }
-                        if new.abs() >= theta && !in_queue[j] {
-                            in_queue[j] = true;
-                            queue.push_back(j as u32);
-                        }
-                    }
+                if new.abs() >= theta && !in_queue[j] {
+                    in_queue[j] = true;
+                    queue.push_back(j as u32);
                 }
-            }
+            });
         }
         // The mass is re-derived over the touched set once per round (not
         // incrementally per push): exact, drift-free, and O(|touched|).
@@ -604,17 +490,6 @@ pub(crate) fn solve_localized(
         // sweep finisher take the tail.
         if mass >= stop && mass * 2.0 > prev_mass && stats.work > params.work_budget / 8 {
             exhausted = true;
-        }
-        if dbg {
-            eprintln!(
-                "  round {}: theta={:.3e} mass={:.3e} pushes={} work={} touched={}",
-                stats.rounds,
-                theta,
-                mass,
-                stats.pushes,
-                stats.work,
-                touched.len()
-            );
         }
         if mass < stop {
             break;
@@ -676,9 +551,8 @@ struct ParOut {
 /// The driver touches shared state only while workers are parked between
 /// `end` and `start`.
 struct ParShared<'a> {
-    offsets: &'a [usize],
-    targets: &'a [u32],
-    op: LocalOp<'a>,
+    graph: &'a CsrGraph,
+    op: FactoredOp<'a>,
     dangling_mask: &'a [bool],
     owner: &'a [u32],
     policy: DanglingPolicy,
@@ -713,7 +587,7 @@ unsafe impl Sync for ParShared<'_> {}
 fn drain_parallel(
     graph: &CsrGraph,
     dangling_mask: &[bool],
-    op: &LocalOp<'_>,
+    op: &FactoredOp<'_>,
     params: &LocalizedParams,
     ctx: ParallelPushCtx<'_>,
     rank: &mut [f64],
@@ -740,10 +614,8 @@ fn drain_parallel(
     }
     touched.clear();
 
-    let (offsets, targets, _) = graph.parts();
     let shared = ParShared {
-        offsets,
-        targets,
+        graph,
         op: *op,
         dangling_mask,
         owner: ctx.owner,
@@ -896,25 +768,11 @@ fn par_worker(w: usize, sh: &ParShared<'_>) {
                         }
                         continue;
                     }
-                    let (s, e) = (sh.offsets[iu], sh.offsets[iu + 1]);
-                    out.work += e - s;
-                    match sh.op {
-                        LocalOp::Arc { csr_probs, .. } => {
-                            for (&j, &prob) in sh.targets[s..e].iter().zip(&csr_probs[s..e]) {
-                                let o = sh.owner[j as usize] as usize;
-                                unsafe { sh.outboxes.at_mut(w * sh.workers + o) }
-                                    .push((j, sh.alpha * rho * prob));
-                            }
-                        }
-                        LocalOp::Factored { numer, inv_denom } => {
-                            let scale = sh.alpha * rho * inv_denom[iu];
-                            for &j in &sh.targets[s..e] {
-                                let o = sh.owner[j as usize] as usize;
-                                unsafe { sh.outboxes.at_mut(w * sh.workers + o) }
-                                    .push((j, scale * numer[j as usize]));
-                            }
-                        }
-                    }
+                    out.work += sh.graph.out_degree(i) as usize;
+                    sh.op.scatter(sh.graph, iu, sh.alpha * rho, |j, c| {
+                        let o = sh.owner[j] as usize;
+                        unsafe { sh.outboxes.at_mut(w * sh.workers + o) }.push((j as u32, c));
+                    });
                 }
                 q.clear();
             }

@@ -78,12 +78,12 @@
 //! patch, the rest receive the patched `Arc` via
 //! [`EngineState::patched_with`].
 
-use crate::engine::{Engine, EngineState, ResolveMode, TouchedSet};
+use crate::engine::{check_exponent, Engine, EngineState, ResolveMode, TouchedSet};
 use crate::error::UpdateError;
 use crate::pagerank::PageRankConfig;
 use crate::transition::TransitionModel;
 use crate::workspace::PermuteScratch;
-use d2pr_graph::csr::CsrGraph;
+use d2pr_graph::csr::{CsrGraph, Direction};
 use d2pr_graph::delta::{ArcDelta, DeltaGraph, EdgeBatch};
 use d2pr_graph::error::GraphError;
 use d2pr_graph::permute::{Layout, NodePermutation};
@@ -1193,13 +1193,16 @@ impl ServingEngine {
     /// node) lies inside the post-batch node set (`n + new_nodes`), the
     /// weight table is parallel to the inserts and holds finite
     /// non-negative values, non-unit weights only target a weighted base,
-    /// and the grown id space fits `u32`. A batch that passes cannot fail
-    /// ingest validation later; the durability layer relies on this to
-    /// guarantee that a logged record always replays cleanly (validate →
-    /// append → ingest).
+    /// the grown id space fits `u32`, and no node's Θ can grow past the
+    /// served model's exponent range (see [`Engine::set_model`]). A batch
+    /// that passes cannot fail ingest validation later; the durability
+    /// layer relies on this to guarantee that a logged record always
+    /// replays cleanly (validate → append → ingest).
     ///
     /// # Errors
-    /// [`UpdateError::Graph`] citing the caller's (external) node id.
+    /// [`UpdateError::Graph`] citing the caller's (external) node id, or
+    /// [`SolverError::InvalidModel`](crate::error::SolverError::InvalidModel)
+    /// (wrapped in [`UpdateError::Solver`]) for a Θ out of range.
     pub fn validate_batch(&self, batch: &EdgeBatch) -> Result<(), UpdateError> {
         let nodes = self.core.nodes.load(SeqCst);
         let after = nodes + batch.new_nodes as usize;
@@ -1248,6 +1251,42 @@ impl ServingEngine {
                     }));
                 }
             }
+        }
+        match &self.perm {
+            Some(p) => self.check_theta_growth(&batch.permuted(p)),
+            None => self.check_theta_growth(batch),
+        }
+    }
+
+    /// Reject a batch (in solver ids) that could push some node's Θ past
+    /// the served model's exponent range: the node's current Θ plus the
+    /// batch's new weights on its out-arcs bounds its post-batch Θ, so a
+    /// batch that passes cannot fail the engine's own check later.
+    fn check_theta_growth(&self, batch: &EdgeBatch) -> Result<(), UpdateError> {
+        let Some(state) = &self.state else {
+            return Ok(());
+        };
+        let undirected = self.dg.direction() == Direction::Undirected;
+        let mut growth: Vec<(u32, f64)> = Vec::with_capacity(batch.inserts.len());
+        for (k, &(u, v)) in batch.inserts.iter().enumerate() {
+            let w = batch.insert_weight(k);
+            if !(w.is_finite() && w >= 0.0) {
+                continue; // an invalid weight fails batch validation
+            }
+            growth.push((u, w));
+            if undirected {
+                growth.push((v, w));
+            }
+        }
+        growth.sort_unstable_by_key(|&(v, _)| v);
+        let theta = state.theta();
+        for run in growth.chunk_by(|a, b| a.0 == b.0) {
+            let v = run[0].0;
+            let bound = theta.get(v as usize).copied().unwrap_or(0.0)
+                + run.iter().map(|&(_, w)| w).sum::<f64>();
+            let external = self.perm.as_ref().map_or(v, |p| p.to_external(v));
+            check_exponent(&self.model, external as usize, bound.max(1.0).ln())
+                .map_err(UpdateError::Solver)?;
         }
         Ok(())
     }
@@ -1406,6 +1445,7 @@ impl ServingEngine {
         };
         // Validated atomically before any state changes: a bad batch
         // cannot poison the engine.
+        self.check_theta_growth(batch)?;
         let applied = self.dg.apply_batch(batch)?;
         // The stored teleport tracks the id space: fresh ids get zero
         // mass, preserving the caller's personalization over the old ids
@@ -2149,7 +2189,7 @@ mod tests {
         b.add_weighted_edge(1, 2, 1.0);
         b.add_weighted_edge(2, 0, 4.0);
         let g = b.build().unwrap();
-        let mut serving = ServingEngine::new(g, MODEL, tight(), 1).unwrap();
+        let mut serving = ServingEngine::new(g.clone(), MODEL, tight(), 1).unwrap();
         let mut batch = EdgeBatch::new();
         batch.set_weight(0, 1, 5.0); // re-weight, not a structural flip
         batch.insert_weighted(0, 2, 0.5);
@@ -2166,6 +2206,22 @@ mod tests {
         let mut snap = Vec::new();
         serving.reader().snapshot_into(&mut snap);
         assert_close(&direct.scores, &snap, 1e-7);
+
+        // A weight that would put Θ^(−p) past `exp`'s range is refused by
+        // ingest itself, before the batch applies: 4·ln 1e70 ≈ 645 ≥ 600.
+        let steep = TransitionModel::DegreeDecoupled { p: 4.0 };
+        let mut serving = ServingEngine::new(g, steep, tight(), 1).unwrap();
+        let mut huge = EdgeBatch::new();
+        huge.insert_weighted(2, 1, 1e70);
+        let generation = serving.generation();
+        assert!(matches!(
+            serving.ingest(&huge),
+            Err(UpdateError::Solver(
+                crate::error::SolverError::InvalidModel(_)
+            ))
+        ));
+        assert_eq!(serving.generation(), generation);
+        assert!(serving.ingest(&batch).is_ok(), "the engine is not poisoned");
 
         // A non-unit weight aimed at an unweighted base stays a typed
         // rejection — the inverse direction never errors.

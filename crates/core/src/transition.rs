@@ -13,9 +13,10 @@
 //!
 //! [`TransitionMatrix::build`] materializes per-arc probabilities aligned
 //! with the graph's CSR arc order (a column-stochastic operator stored
-//! column-major: column = source node). Sweeps over `p` rebuild only this
-//! array; the degree/Θ tables are computed once per graph and cached by the
-//! caller (see `d2pr::D2pr`).
+//! column-major: column = source node) — the reference operator the
+//! oracle solvers run on, evaluated in log space for any `p`. The
+//! production engine never materializes it: it runs the same blend as
+//! per-node tables (see [`crate::engine`]).
 
 use crate::kernel::DegreeKernel;
 use d2pr_graph::csr::{CsrGraph, NodeId};
@@ -114,8 +115,7 @@ impl TransitionMatrix {
     pub fn build_with_theta(graph: &CsrGraph, model: TransitionModel, theta: &[f64]) -> Self {
         model.validate().expect("invalid transition model");
         let mut probs = vec![0.0f64; graph.num_arcs()];
-        let mut scratch = ProbScratch::default();
-        fill_arc_probs(graph, model, theta, &mut probs, &mut scratch);
+        fill_arc_probs(graph, model, theta, &mut probs);
         Self {
             probs,
             num_nodes: graph.num_nodes(),
@@ -158,33 +158,14 @@ impl TransitionMatrix {
     }
 }
 
-/// Reusable neighborhood scratch buffers for [`fill_arc_probs`]. The two
-/// vectors grow to the largest out-degree seen and are then reused, so a
-/// parameter sweep performs zero per-point allocations once warmed up.
-#[derive(Debug, Clone, Default)]
-pub struct ProbScratch {
-    degs: Vec<f64>,
-    kern: Vec<f64>,
-}
-
 /// Write the per-arc transition probabilities for `model` into `out`
-/// (CSR arc order), allocation-free: the single pass over the graph reuses
-/// `scratch` for neighborhood-local work.
-///
-/// This is the kernel both [`TransitionMatrix::build_with_theta`] and the
-/// fused sweep engine (`crate::engine`) share; the engine additionally
-/// scatters `out` through the cached CSR→CSC arc permutation.
+/// (CSR arc order) in a single pass over the graph. The degree term
+/// normalizes each neighborhood in log space ([`DegreeKernel`]).
 ///
 /// # Panics
 /// Panics when `theta` or `out` do not cover the graph (callers validate
 /// the model first; see [`TransitionModel::validate`]).
-pub fn fill_arc_probs(
-    graph: &CsrGraph,
-    model: TransitionModel,
-    theta: &[f64],
-    out: &mut [f64],
-    scratch: &mut ProbScratch,
-) {
+fn fill_arc_probs(graph: &CsrGraph, model: TransitionModel, theta: &[f64], out: &mut [f64]) {
     assert_eq!(
         theta.len(),
         graph.num_nodes(),
@@ -198,6 +179,8 @@ pub fn fill_arc_probs(
     let mut cursor = 0usize;
     let (p, beta) = (model.p(), model.beta());
     let kernel = DegreeKernel::new(p);
+    // Neighborhood scratch, grown to the largest out-degree.
+    let (mut degs, mut kern) = (Vec::new(), Vec::new());
 
     for v in graph.nodes() {
         let ns = graph.neighbors(v);
@@ -238,10 +221,10 @@ pub fn fill_arc_probs(
 
         // T_D: degree de-coupled component.
         if beta < 1.0 {
-            scratch.degs.clear();
-            scratch.degs.extend(ns.iter().map(|&t| theta[t as usize]));
-            kernel.normalize_into(&scratch.degs, &mut scratch.kern);
-            for (s, &kw) in slot.iter_mut().zip(&scratch.kern) {
+            degs.clear();
+            degs.extend(ns.iter().map(|&t| theta[t as usize]));
+            kernel.normalize_into(&degs, &mut kern);
+            for (s, &kw) in slot.iter_mut().zip(&kern) {
                 *s += (1.0 - beta) * kw;
             }
         }

@@ -33,13 +33,15 @@ fn arb_weighted_graph(max_nodes: u32, max_edges: usize) -> impl Strategy<Value =
         .prop_flat_map(move |n| {
             (
                 Just(n),
-                proptest::collection::vec((0..n, 0..n, 0.01f64..20.0), 1..=max_edges),
+                proptest::collection::vec((0..n, 0..n, 0.01f64..20.0, 0u8..4), 1..=max_edges),
             )
         })
         .prop_map(|(n, edges)| {
             let mut b = GraphBuilder::new(Direction::Directed, n as usize);
-            for (u, v, w) in edges {
-                b.add_weighted_edge(u, v, w);
+            for (u, v, w, zero) in edges {
+                // A quarter of the arcs weigh 0, so some sources' weights
+                // sum to 0 and take the uniform fallback.
+                b.add_weighted_edge(u, v, if zero == 0 { 0.0 } else { w });
             }
             b.build().expect("in-range edges")
         })

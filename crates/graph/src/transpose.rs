@@ -6,16 +6,14 @@
 //!
 //! * `in_offsets` / `in_sources` — the classic CSC arrays: the sources of
 //!   the arcs pointing at node `v` live at `in_sources[in_offsets[v]..in_offsets[v+1]]`;
-//! * the **arc permutation** `csc_slot_of_arc`, mapping every CSR arc index
-//!   to its CSC slot. Per-arc values computed in CSR order (transition
-//!   probabilities) can then be scattered into CSC order in one pass —
-//!   a parameter sweep rewrites a probability array in place without ever
-//!   rebuilding the structure;
+//! * on weighted graphs, the arc weights in CSC order
+//!   ([`CscStructure::in_weights`]), filled on first use: only a transition
+//!   model that reads arc weights (`β > 0`) needs them;
 //! * the dangling-node list (no out-arcs), needed by every dangling policy.
 //!
-//! The structure is purely topological: it depends on the graph only, never
-//! on transition probabilities, so one build serves every `(p, α, β)` sweep
-//! point. See `DESIGN.md` for how the engine layers on top.
+//! The structure depends on the graph only, never on transition
+//! probabilities, so one build serves every `(p, α, β)` sweep point. See
+//! `DESIGN.md` for how the engine layers on top.
 
 use crate::csr::{CsrGraph, NodeId};
 use crate::delta::ArcDelta;
@@ -23,10 +21,9 @@ use crate::error::{GraphError, Result};
 use crate::permute::{narrow_offsets, Layout, NodePermutation};
 use std::sync::{Arc, OnceLock};
 
-/// The structural transpose of a [`CsrGraph`], plus the CSR→CSC arc
-/// permutation. Build once per graph with [`CscStructure::build`]; after an
-/// incremental edit, update it with [`CscStructure::patched`] instead of
-/// rebuilding.
+/// The structural transpose of a [`CsrGraph`]. Build once per graph with
+/// [`CscStructure::build`]; after an incremental edit, update it with
+/// [`CscStructure::patched`] instead of rebuilding.
 ///
 /// # Examples
 /// ```
@@ -36,19 +33,17 @@ use std::sync::{Arc, OnceLock};
 ///
 /// // 0 -> 1, 0 -> 2, 1 -> 2; node 2 is the in-degree hub.
 /// let mut b = GraphBuilder::new(Direction::Directed, 3);
-/// b.add_edge(0, 1);
-/// b.add_edge(0, 2);
-/// b.add_edge(1, 2);
+/// b.add_weighted_edge(0, 1, 2.0);
+/// b.add_weighted_edge(0, 2, 0.5);
+/// b.add_weighted_edge(1, 2, 4.0);
 /// let g = b.build().unwrap();
 ///
 /// let csc = CscStructure::build(&g);
 /// assert_eq!(csc.in_neighbors(2), &[0, 1]);
 /// assert_eq!(csc.dangling(), &[2]);
 ///
-/// // Scatter per-arc values (computed in CSR order) into CSC order.
-/// let mut csc_vals = vec![0.0; g.num_arcs()];
-/// csc.scatter_arc_values(&[0.1, 0.2, 0.3], &mut csc_vals);
-/// assert_eq!(csc_vals, vec![0.1, 0.2, 0.3]);
+/// // The arc weights in CSC order, parallel to `in_sources`.
+/// assert_eq!(csc.in_weights(&g), Some(&[2.0, 0.5, 4.0][..]));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CscStructure {
@@ -56,14 +51,14 @@ pub struct CscStructure {
     in_offsets: Vec<usize>,
     /// Source endpoint of every incoming arc, grouped by destination.
     in_sources: Vec<NodeId>,
-    /// `csc_slot_of_arc[k]` is the CSC slot of the `k`-th CSR arc.
+    /// Arc weights parallel to `in_sources` (weighted graphs only).
     ///
     /// Kept behind a [`OnceLock`] so a structure shared between engines
-    /// (`Arc<CscStructure>`) can materialize the permutation lazily —
-    /// [`CscStructure::ensure_arc_permutation`] takes `&self`, every
-    /// sharer sees the one build, and structures that only ever serve
-    /// factored operators never pay the `O(E)` rewrite at all.
-    csc_slot_of_arc: OnceLock<Vec<usize>>,
+    /// (`Arc<CscStructure>`) fills it lazily — [`CscStructure::in_weights`]
+    /// takes `&self`, every sharer sees the one build, and structures that
+    /// only ever serve models ignoring arc weights never pay the `O(E)`
+    /// copy. Once filled, [`CscStructure::patched`] carries it forward.
+    in_weights: OnceLock<Vec<f64>>,
     /// Nodes with no out-arcs.
     dangling: Vec<NodeId>,
     num_nodes: usize,
@@ -100,7 +95,6 @@ impl CscStructure {
 
         let mut cursor: Vec<usize> = in_offsets[..n].to_vec();
         let mut in_sources = vec![0 as NodeId; m];
-        let mut csc_slot_of_arc = vec![0usize; m];
         let mut dangling = Vec::new();
         for v in 0..n {
             let (s, e) = (offsets[v], offsets[v + 1]);
@@ -108,19 +102,17 @@ impl CscStructure {
                 dangling.push(v as NodeId);
                 continue;
             }
-            for k in s..e {
-                let t = targets[k] as usize;
-                let slot = cursor[t];
+            for &t in &targets[s..e] {
+                let t = t as usize;
+                in_sources[cursor[t]] = v as NodeId;
                 cursor[t] += 1;
-                in_sources[slot] = v as NodeId;
-                csc_slot_of_arc[k] = slot;
             }
         }
         let narrow_in_offsets = narrow_offsets(&in_offsets).ok();
         Self {
             in_offsets,
             in_sources,
-            csc_slot_of_arc: OnceLock::from(csc_slot_of_arc),
+            in_weights: OnceLock::new(),
             dangling,
             num_nodes: n,
             narrow_in_offsets,
@@ -173,56 +165,31 @@ impl CscStructure {
     /// * `in_sources` — untouched destinations copy their old span
     ///   wholesale (sequential `memcpy`, no per-arc scatter); edited
     ///   destinations merge their old span with the delta;
+    /// * the CSC weights, when this structure has them filled — copied and
+    ///   merged alongside `in_sources`; then each inserted and re-weighted
+    ///   arc is written at its CSC slot, found by binary search in the
+    ///   destination's sorted span, and so is each arc whose stored value
+    ///   the uniform fallback changed (every arc of a delta source whose
+    ///   weights are now all 0, the zero-weight arcs of the other delta
+    ///   sources). A re-weight-only delta therefore yields a new structure
+    ///   too;
     /// * the dangling list — patched: only sources appearing in the delta
-    ///   are re-examined;
-    /// * `csc_slot_of_arc` — rewritten in one linear pass over the new CSR
-    ///   (every CSR arc index after the first edit shifts, so per-entry
-    ///   work is unavoidable; the pass is sequential-write).
+    ///   are re-examined.
     ///
-    /// The result is bit-identical to `CscStructure::build(new_graph)`
-    /// (property-tested in `tests/delta_props.rs`).
+    /// The result is bit-identical to `CscStructure::build(new_graph)` —
+    /// with the CSC weights filled on the result exactly when they were
+    /// filled here (property-tested in `tests/delta_props.rs`).
     ///
     /// # Errors
     /// Returns [`GraphError::Snapshot`] when the delta does not actually
     /// connect this structure's graph to `new_graph`: node/arc count
     /// mismatch, an edit referencing a node out of range, a deleted arc
     /// that does not exist in the old structure (or is still present in
-    /// the new graph), or an inserted arc missing from the new graph. The
-    /// per-arc presence checks assume simple-graph semantics (no parallel
-    /// arcs among edited pairs), which [`DeltaGraph`](crate::delta::DeltaGraph)
-    /// guarantees.
+    /// the new graph), or an inserted or re-weighted arc missing from the
+    /// new graph. The per-arc presence checks assume simple-graph
+    /// semantics (no parallel arcs among edited pairs), which
+    /// [`DeltaGraph`](crate::delta::DeltaGraph) guarantees.
     pub fn patched(&self, new_graph: &CsrGraph, delta: &ArcDelta) -> Result<CscStructure> {
-        self.patched_inner(new_graph, delta, true)
-    }
-
-    /// [`CscStructure::patched`] without the CSR→CSC arc permutation — the
-    /// permutation is the only `O(E)`-rewrite part of a patch (every CSR
-    /// arc index after the first edit shifts), and only consumers of
-    /// [`CscStructure::scatter_arc_values`] need it. Pull kernels over
-    /// factored operators (the degree-decoupled serving path) read just
-    /// `in_offsets`/`in_sources`/`dangling`, so a trickle update patches in
-    /// `O(V + Δ + copy)` and skips the permutation entirely.
-    ///
-    /// The result reports [`CscStructure::has_arc_permutation`] `== false`;
-    /// rebuild on demand with [`CscStructure::ensure_arc_permutation`]
-    /// (which restores bit-identity with a fresh build).
-    ///
-    /// # Errors
-    /// As [`CscStructure::patched`].
-    pub fn patched_structural(
-        &self,
-        new_graph: &CsrGraph,
-        delta: &ArcDelta,
-    ) -> Result<CscStructure> {
-        self.patched_inner(new_graph, delta, false)
-    }
-
-    fn patched_inner(
-        &self,
-        new_graph: &CsrGraph,
-        delta: &ArcDelta,
-        with_permutation: bool,
-    ) -> Result<CscStructure> {
         let n = self.num_nodes;
         // Node growth is append-only: a delta may add ids at the tail
         // (they have no old in-span), never reorder or shrink. Removal
@@ -247,18 +214,25 @@ impl CscStructure {
         }
         // Per-arc validation: the aggregate count check cannot catch a
         // delta that names the wrong arcs (the merge below would then
-        // silently build a corrupt permutation in release builds).
-        for &(s, t) in delta.inserted.iter().chain(&delta.deleted) {
+        // silently build a corrupt transpose in release builds).
+        let reweighted = delta.reweighted.iter().map(|&(s, t, _, _)| (s, t));
+        for (s, t) in delta
+            .inserted
+            .iter()
+            .chain(&delta.deleted)
+            .copied()
+            .chain(reweighted.clone())
+        {
             if (s as usize) >= n_new || (t as usize) >= n_new {
                 return Err(GraphError::Snapshot(format!(
                     "patched: delta arc {s} -> {t} is out of range for {n_new} nodes"
                 )));
             }
         }
-        for &(s, t) in &delta.inserted {
+        for (s, t) in delta.inserted.iter().copied().chain(reweighted) {
             if !new_graph.has_arc(s, t) {
                 return Err(GraphError::Snapshot(format!(
-                    "patched: inserted arc {s} -> {t} is missing from the new graph"
+                    "patched: inserted or re-weighted arc {s} -> {t} is missing from the new graph"
                 )));
             }
         }
@@ -277,28 +251,44 @@ impl CscStructure {
         ins.sort_unstable();
         del.sort_unstable();
 
-        // in_offsets: patch the prefix sums; in_sources: span-copy or merge.
+        // in_offsets: patch the prefix sums; in_sources (and the weights,
+        // when filled): span-copy or merge.
         let m = new_graph.num_arcs();
+        let old_weights = self.in_weights.get().filter(|_| new_graph.is_weighted());
         let mut in_offsets = Vec::with_capacity(n_new + 1);
         in_offsets.push(0usize);
         let mut in_sources: Vec<NodeId> = Vec::with_capacity(m);
+        let mut in_weights: Vec<f64> =
+            Vec::with_capacity(if old_weights.is_some() { m } else { 0 });
         let (mut ii, mut di) = (0usize, 0usize);
         for v in 0..n_new {
-            let old_span: &[NodeId] = if v < n {
-                &self.in_sources[self.in_offsets[v]..self.in_offsets[v + 1]]
+            let span = if v < n {
+                self.in_offsets[v]..self.in_offsets[v + 1]
             } else {
-                &[]
+                0..0
             };
+            let old_span = &self.in_sources[span.clone()];
             let ins_here = run_len(&ins, ii, v as NodeId);
             let del_here = run_len(&del, di, v as NodeId);
             if ins_here == 0 && del_here == 0 {
                 in_sources.extend_from_slice(old_span);
+                if let Some(w) = old_weights {
+                    in_weights.extend_from_slice(&w[span]);
+                }
             } else {
                 merge_span(
                     old_span,
                     &ins[ii..ii + ins_here],
                     &del[di..di + del_here],
-                    &mut in_sources,
+                    |src, old_k| {
+                        in_sources.push(src);
+                        if let Some(w) = old_weights {
+                            // Inserted arcs get their weight in the
+                            // rewrite below (their sources are delta
+                            // sources).
+                            in_weights.push(old_k.map_or(0.0, |k| w[span.start + k]));
+                        }
+                    },
                 )
                 .map_err(|src| {
                     GraphError::Snapshot(format!(
@@ -312,14 +302,15 @@ impl CscStructure {
         }
         debug_assert_eq!(in_sources.len(), m);
 
-        // Dangling list: only sources named by the delta — plus freshly
-        // appended ids (isolated until arcs reference them) — can change
-        // state.
+        // Dangling list (and the weight rewrite): only sources named by
+        // the delta — plus freshly appended ids (isolated until arcs
+        // reference them) — can change state.
         let mut changed: Vec<NodeId> = delta
             .inserted
             .iter()
             .chain(&delta.deleted)
             .map(|&(s, _)| s)
+            .chain(delta.reweighted.iter().map(|&(s, _, _, _)| s))
             .chain(n as NodeId..n_new as NodeId)
             .collect();
         changed.sort_unstable();
@@ -338,57 +329,103 @@ impl CscStructure {
             .collect();
         dangling.sort_unstable();
 
-        let narrow_in_offsets = narrow_offsets(&in_offsets).ok();
         let out = CscStructure {
+            narrow_in_offsets: narrow_offsets(&in_offsets).ok(),
             in_offsets,
             in_sources,
-            csc_slot_of_arc: OnceLock::new(),
+            in_weights: OnceLock::new(),
             dangling,
             num_nodes: n_new,
-            narrow_in_offsets,
             permutation: self.permutation.clone(),
         };
-        if with_permutation {
-            out.ensure_arc_permutation(new_graph);
+        if old_weights.is_some() {
+            let mut write = |s: NodeId, t: NodeId, w: f64| -> Result<()> {
+                let span = out.in_offsets[t as usize]..out.in_offsets[t as usize + 1];
+                let k = out.in_sources[span.clone()]
+                    .binary_search(&s)
+                    .map_err(|_| {
+                        GraphError::Snapshot(format!(
+                            "patched: arc {s} -> {t} has no slot in the merged structure"
+                        ))
+                    })?;
+                in_weights[span.start + k] = w;
+                Ok(())
+            };
+            // Delta sources whose out-weights are now all 0 store 1 on
+            // every arc (the uniform fallback).
+            let uniform: Vec<NodeId> = changed
+                .iter()
+                .copied()
+                .filter(|&s| !weights_of(new_graph, s).iter().any(|&w| w > 0.0))
+                .collect();
+            let edits = delta.inserted.iter().zip(&delta.inserted_weights);
+            let edits = edits.map(|(&(s, t), &w)| (s, t, w));
+            for (s, t, w) in edits.chain(delta.reweighted.iter().map(|&(s, t, _, w)| (s, t, w))) {
+                if uniform.binary_search(&s).is_err() {
+                    write(s, t, w)?;
+                }
+            }
+            // The other delta sources store their raw weights. Their
+            // zero-weight arcs stored 1 if the source was uniform before
+            // the batch, so they are rewritten too.
+            for &s in &changed {
+                let is_uniform = uniform.binary_search(&s).is_ok();
+                for (&t, &w) in new_graph.neighbors(s).iter().zip(weights_of(new_graph, s)) {
+                    if is_uniform || w == 0.0 {
+                        write(s, t, if is_uniform { 1.0 } else { 0.0 })?;
+                    }
+                }
+            }
+            out.in_weights
+                .set(in_weights)
+                .expect("a fresh structure has no weights yet");
         }
         Ok(out)
     }
 
-    /// `true` when the CSR→CSC arc permutation is materialized (always the
-    /// case after [`CscStructure::build`] / [`CscStructure::patched`];
-    /// `false` after [`CscStructure::patched_structural`] until
-    /// [`CscStructure::ensure_arc_permutation`] runs).
-    pub fn has_arc_permutation(&self) -> bool {
-        self.csc_slot_of_arc.get().is_some()
-    }
-
-    /// Materialize the CSR→CSC arc permutation (no-op when already built)
-    /// in one linear pass over `graph`'s CSR arcs against this structure's
-    /// offsets — identical slot assignment to a fresh build. `graph` must
-    /// be the graph this structure describes.
+    /// The arc weights in CSC order, parallel to [`CscStructure::in_sources`]
+    /// — what a pull over the weight-normalized transition `w(i→j)/Θ_i`
+    /// gathers. A source whose out-weights sum to 0 stores weight 1 on each
+    /// of its arcs: weight-normalized transitions fall back to uniform
+    /// there. `None` on unweighted graphs.
     ///
-    /// Takes `&self`: a structure shared between engines behind an `Arc`
-    /// builds the permutation exactly once, and every sharer observes it.
-    pub fn ensure_arc_permutation(&self, graph: &CsrGraph) {
+    /// Filled on the first call, in one pass over `graph`'s CSR arcs
+    /// (`graph` must be the graph this structure describes). Takes
+    /// `&self`: a structure shared between engines behind an `Arc` fills
+    /// the weights exactly once, and every sharer observes them.
+    ///
+    /// # Panics
+    /// Panics when `graph` has a different node or arc count.
+    pub fn in_weights(&self, graph: &CsrGraph) -> Option<&[f64]> {
+        let (offsets, targets, weights) = graph.parts();
+        let weights = weights?;
         let n = self.num_nodes;
-        let m = self.num_arcs();
-        assert_eq!(graph.num_nodes(), n, "permutation rebuild: node count");
-        assert_eq!(graph.num_arcs(), m, "permutation rebuild: arc count");
-        self.csc_slot_of_arc.get_or_init(|| {
-            let (offsets, targets, _) = graph.parts();
+        assert_eq!(graph.num_nodes(), n, "CSC weights: node count");
+        assert_eq!(graph.num_arcs(), self.num_arcs(), "CSC weights: arc count");
+        let filled = self.in_weights.get_or_init(|| {
+            // Same slot assignment as `build`: sources in CSR order, one
+            // cursor per destination.
             let mut cursor: Vec<usize> = self.in_offsets[..n].to_vec();
-            let mut slots = vec![0usize; m];
+            let mut out = vec![0.0; targets.len()];
             for v in 0..n {
                 let (s, e) = (offsets[v], offsets[v + 1]);
-                for (slot_out, &t) in slots[s..e].iter_mut().zip(&targets[s..e]) {
-                    let slot = cursor[t as usize];
-                    cursor[t as usize] += 1;
-                    debug_assert_eq!(self.in_sources[slot], v as NodeId, "patched span order");
-                    *slot_out = slot;
+                let uniform = !weights[s..e].iter().any(|&w| w > 0.0);
+                for (&t, &w) in targets[s..e].iter().zip(&weights[s..e]) {
+                    let t = t as usize;
+                    out[cursor[t]] = if uniform { 1.0 } else { w };
+                    cursor[t] += 1;
                 }
             }
-            slots
+            out
         });
+        Some(filled)
+    }
+
+    /// `true` once the CSC weights are filled (see
+    /// [`CscStructure::in_weights`]); [`CscStructure::patched`] then
+    /// carries them forward.
+    pub fn has_in_weights(&self) -> bool {
+        self.in_weights.get().is_some()
     }
 
     /// Number of nodes covered.
@@ -429,13 +466,6 @@ impl CscStructure {
         self.permutation.as_ref()
     }
 
-    /// The CSR→CSC arc permutation: element `k` is the CSC slot of CSR arc
-    /// `k`. Empty until materialized (see
-    /// [`CscStructure::has_arc_permutation`]).
-    pub fn csc_slot_of_arc(&self) -> &[usize] {
-        self.csc_slot_of_arc.get().map_or(&[], Vec::as_slice)
-    }
-
     /// Nodes with no out-arcs, ascending.
     pub fn dangling(&self) -> &[NodeId] {
         &self.dangling
@@ -448,34 +478,6 @@ impl CscStructure {
     pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
         let v = v as usize;
         &self.in_sources[self.in_offsets[v]..self.in_offsets[v + 1]]
-    }
-
-    /// Scatter CSR-ordered per-arc values into CSC order.
-    ///
-    /// # Panics
-    /// Panics when either slice's length differs from the arc count.
-    pub fn scatter_arc_values(&self, csr_values: &[f64], csc_out: &mut [f64]) {
-        assert_eq!(
-            csr_values.len(),
-            self.num_arcs(),
-            "CSR value array must cover all arcs"
-        );
-        assert_eq!(
-            csc_out.len(),
-            self.num_arcs(),
-            "CSC output array must cover all arcs"
-        );
-        let slots = self
-            .csc_slot_of_arc
-            .get()
-            .expect(
-                "arc permutation not materialized (structure came from \
-                 `patched_structural`); call `ensure_arc_permutation` first",
-            )
-            .as_slice();
-        for (k, &val) in csr_values.iter().enumerate() {
-            csc_out[slots[k]] = val;
-        }
     }
 
     /// Partition destination nodes `0..num_nodes` into `parts` contiguous
@@ -495,6 +497,11 @@ impl CscStructure {
     }
 }
 
+/// Out-weights of `v` on a weighted graph.
+fn weights_of(graph: &CsrGraph, v: NodeId) -> &[f64] {
+    graph.neighbor_weights(v).expect("weighted graph")
+}
+
 /// Length of the run of edits targeting `t`, starting at `start`. `edits`
 /// is sorted by `(target, source)` and runs are consumed in ascending
 /// target order, so the run (possibly empty) always begins at `start`.
@@ -507,20 +514,21 @@ fn run_len(edits: &[(NodeId, NodeId)], start: usize, t: NodeId) -> usize {
 
 /// Merge one destination's old source span (ascending) with its inserted
 /// sources minus its deleted sources (both `(target, source)` pairs of one
-/// fixed target, ascending by source), appending to `out`. Each deletion
-/// consumes exactly one matching occurrence. Returns the source of an
-/// unmatched deletion as the error.
+/// fixed target, ascending by source), emitting each surviving source with
+/// its index in `old` (`None` for an inserted one). Each deletion consumes
+/// exactly one matching occurrence. Returns the source of an unmatched
+/// deletion as the error.
 fn merge_span(
     old: &[NodeId],
     ins: &[(NodeId, NodeId)],
     del: &[(NodeId, NodeId)],
-    out: &mut Vec<NodeId>,
+    mut emit: impl FnMut(NodeId, Option<usize>),
 ) -> std::result::Result<(), NodeId> {
     let mut ip = 0usize;
     let mut dp = 0usize;
-    for &src in old {
+    for (k, &src) in old.iter().enumerate() {
         while ip < ins.len() && ins[ip].1 < src {
-            out.push(ins[ip].1);
+            emit(ins[ip].1, None);
             ip += 1;
         }
         if dp < del.len() {
@@ -532,10 +540,10 @@ fn merge_span(
                 continue;
             }
         }
-        out.push(src);
+        emit(src, Some(k));
     }
     for &(_, s) in &ins[ip..] {
-        out.push(s);
+        emit(s, None);
     }
     if dp < del.len() {
         return Err(del[dp].1);
@@ -603,41 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn permutation_is_a_bijection() {
-        let g = barabasi_albert(300, 3, 11).unwrap();
-        let t = CscStructure::build(&g);
-        let mut seen = vec![false; g.num_arcs()];
-        for &slot in t.csc_slot_of_arc() {
-            assert!(!seen[slot], "slot {slot} hit twice");
-            seen[slot] = true;
-        }
-        assert!(seen.into_iter().all(|x| x));
-    }
-
-    #[test]
-    fn scatter_reorders_arc_values() {
-        let g = sample();
-        let t = CscStructure::build(&g);
-        // CSR arc order: (0->1), (0->2), (1->2). Tag each with its target.
-        let csr_vals = [1.0, 2.0, 2.5];
-        let mut csc_vals = vec![0.0; 3];
-        t.scatter_arc_values(&csr_vals, &mut csc_vals);
-        // CSC order groups by destination: [arc into 1, arcs into 2].
-        assert_eq!(csc_vals, vec![1.0, 2.0, 2.5]);
-        // The value at each CSC slot must describe the same arc: check via
-        // in_sources alignment on a reversed tagging.
-        let csr_tag_source = [0.0, 0.0, 1.0];
-        let mut csc_tag = vec![-1.0; 3];
-        t.scatter_arc_values(&csr_tag_source, &mut csc_tag);
-        for v in g.nodes() {
-            let s = t.in_offsets()[v as usize];
-            for (i, &src) in t.in_neighbors(v).iter().enumerate() {
-                assert_eq!(csc_tag[s + i], f64::from(src));
-            }
-        }
-    }
-
-    #[test]
     fn partition_covers_every_node_exactly_once() {
         let g = barabasi_albert(500, 4, 3).unwrap();
         let t = CscStructure::build(&g);
@@ -700,28 +673,58 @@ mod tests {
     }
 
     #[test]
-    fn patched_structural_skips_then_rebuilds_permutation() {
+    fn patched_carries_filled_weights_only() {
         use crate::delta::{DeltaGraph, EdgeBatch};
-        let g = barabasi_albert(150, 3, 29).unwrap();
-        let csc = CscStructure::build(&g);
-        assert!(csc.has_arc_permutation());
+        let mut b = GraphBuilder::new(Direction::Directed, 6);
+        for (u, v, w) in [
+            (0, 1, 1.0),
+            (0, 2, 2.0),
+            (1, 2, 0.0),
+            (2, 3, 3.0),
+            (4, 5, 1.5),
+        ] {
+            b.add_weighted_edge(u, v, w);
+        }
+        let g = b.build().unwrap();
+        let unfilled = CscStructure::build(&g);
+        let filled = CscStructure::build(&g);
+        filled.in_weights(&g);
         let mut dg = DeltaGraph::new(g.clone()).unwrap();
         let mut batch = EdgeBatch::new();
-        batch.delete(2, g.neighbors(2)[0]).insert(4, 140);
+        // A weighted insert, a re-weight, a delete, and a positive weight
+        // at the zero-sum source 1 (its uniform fallback ends).
+        batch
+            .insert_weighted(3, 0, 0.25)
+            .set_weight(0, 2, 5.0)
+            .delete(4, 5)
+            .insert_weighted(1, 5, 2.0);
         let out = dg.apply_batch(&batch).unwrap();
         let g2 = dg.snapshot();
-        let structural = csc.patched_structural(&g2, &out.delta).unwrap();
-        assert!(!structural.has_arc_permutation());
-        let full = csc.patched(&g2, &out.delta).unwrap();
-        // Topology agrees without the permutation ...
-        assert_eq!(structural.in_offsets(), full.in_offsets());
-        assert_eq!(structural.in_sources(), full.in_sources());
-        assert_eq!(structural.dangling(), full.dangling());
-        // ... and materializing it (through a shared reference, as
-        // `Arc`-sharing engines do) restores bit-identity with a fresh
-        // build.
-        structural.ensure_arc_permutation(&g2);
-        assert_eq!(structural, CscStructure::build(&g2));
+        let fresh = CscStructure::build(&g2);
+        // Weights are carried forward only when they were filled.
+        assert_eq!(unfilled.patched(&g2, &out.delta).unwrap(), fresh);
+        let patched = filled.patched(&g2, &out.delta).unwrap();
+        fresh.in_weights(&g2);
+        assert_eq!(patched, fresh);
+        assert_eq!(
+            patched.in_weights(&g2),
+            Some(&[0.25, 1.0, 5.0, 0.0, 3.0, 2.0][..])
+        );
+        // A re-weight-only delta patches the weights too: zeroing source
+        // 1's one positive weight restarts its uniform fallback.
+        let mut batch = EdgeBatch::new();
+        batch.set_weight(1, 5, 0.0).set_weight(2, 3, 0.5);
+        let out = dg.apply_batch(&batch).unwrap();
+        let g3 = dg.snapshot();
+        assert_eq!(out.delta.reweighted.len(), 2);
+        let repatched = patched.patched(&g3, &out.delta).unwrap();
+        let fresh = CscStructure::build(&g3);
+        fresh.in_weights(&g3);
+        assert_eq!(repatched, fresh);
+        assert_eq!(
+            repatched.in_weights(&g3),
+            Some(&[0.25, 1.0, 5.0, 1.0, 0.5, 1.0][..])
+        );
     }
 
     #[test]
@@ -747,10 +750,6 @@ mod tests {
         assert!(patched.dangling().contains(&101) || g2.out_degree(101) > 0);
         assert!(patched.dangling().contains(&102));
         assert!(patched.dangling().contains(&5));
-        // Structural patch agrees too.
-        let structural = csc.patched_structural(&g2, &out.delta).unwrap();
-        structural.ensure_arc_permutation(&g2);
-        assert_eq!(structural, CscStructure::build(&g2));
         // A stale (count-mismatched) growth claim is rejected.
         let mut wrong = out.delta.clone();
         wrong.nodes_after += 1;

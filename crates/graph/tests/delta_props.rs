@@ -136,23 +136,48 @@ proptest! {
     }
 
     /// The incrementally patched transpose is bit-identical to a fresh
-    /// build at every step of a random batch sequence.
+    /// build at every step of a random batch sequence — on weighted bases
+    /// (weighted inserts and re-weights) with the CSC weights filled on
+    /// both sides, weights included.
     #[test]
     fn patched_transpose_equals_fresh_build(
         initial in arb_edges(60),
         batches in arb_batches(),
+        weighted in any::<bool>(),
+        draws in proptest::collection::vec(0usize..6, 64),
     ) {
-        let base = build(Direction::Directed, &initial);
+        // The palette includes 0, so some sources' weights sum to 0 and
+        // take the uniform fallback.
+        let palette = [0.0, 0.5, 1.0, 2.0, 3.5, 7.0];
+        let mut weight = draws.iter().cycle().map(|&k| palette[k]);
+        let base = if weighted {
+            let mut b = GraphBuilder::new(Direction::Directed, N as usize);
+            for &(u, v) in &initial {
+                b.add_weighted_edge(u, v, weight.next().expect("cycled"));
+            }
+            b.build().expect("in-range edges")
+        } else {
+            build(Direction::Directed, &initial)
+        };
         let mut csc = CscStructure::build(&base);
-        let mut dg = DeltaGraph::new(base).expect("unweighted");
+        csc.in_weights(&base);
+        let mut dg = DeltaGraph::new(base).expect("valid base");
         for (inserts, deletes) in &batches {
             let mut batch = EdgeBatch::new();
-            batch.inserts.clone_from(inserts);
+            for &(u, v) in inserts {
+                if weighted {
+                    batch.insert_weighted(u, v, weight.next().expect("cycled"));
+                } else {
+                    batch.insert(u, v);
+                }
+            }
             batch.deletes.clone_from(deletes);
             let outcome = dg.apply_batch(&batch).expect("in-range batch");
             let snapshot = dg.snapshot();
             csc = csc.patched(&snapshot, &outcome.delta).expect("consistent delta");
-            prop_assert_eq!(&csc, &CscStructure::build(&snapshot));
+            let fresh = CscStructure::build(&snapshot);
+            prop_assert_eq!(fresh.in_weights(&snapshot).is_some(), weighted);
+            prop_assert_eq!(&csc, &fresh);
         }
     }
 

@@ -3,6 +3,7 @@
 //! sharded layouts — every recovered rank vector is checked against a
 //! cold solve of the graph at the recovered generation.
 
+use d2pr_core::error::{SolverError, UpdateError};
 use d2pr_core::pagerank::{pagerank, PageRankConfig};
 use d2pr_core::transition::TransitionModel;
 use d2pr_graph::builder::GraphBuilder;
@@ -13,7 +14,7 @@ use d2pr_graph::permute::Layout;
 use d2pr_store::durable::{DurableServingEngine, StoreOptions};
 use d2pr_store::shard::{DurableShardManager, ShardIngest};
 use d2pr_store::StoreError;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const MODEL: TransitionModel = TransitionModel::DegreeDecoupled { p: 0.5 };
 
@@ -378,6 +379,64 @@ fn weighted_node_churn_survives_crash_and_compaction() {
     let (store, _) = DurableServingEngine::open(&dir, 1, StoreOptions::default()).unwrap();
     assert!(store.engine().removed_nodes().is_empty());
     assert!(store.reader().get(5).unwrap() > 0.0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Total bytes of the write-ahead log segments under `dir`.
+fn wal_bytes(dir: &Path) -> u64 {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter(|e| e.file_name().to_string_lossy().starts_with("wal-"))
+        .map(|e| e.metadata().unwrap().len())
+        .sum()
+}
+
+#[test]
+fn theta_past_the_exponent_range_is_rejected_before_the_log() {
+    // Blended { p: 4, β: ½ } evaluates Θ^(−4) per node: a weight of 1e70
+    // at an existing source puts its Θ past the exponent range
+    // (4·ln 1e70 ≈ 645 ≥ 600). The batch must be refused before it is
+    // logged, and the engine must keep serving and ingesting.
+    let dir = tmpdir("theta-range");
+    let n = 60u32;
+    let model = TransitionModel::Blended { p: 4.0, beta: 0.5 };
+    let base = weighted_base(n);
+    assert!(base.out_degree(3) > 0);
+    let mut store =
+        DurableServingEngine::create(&dir, base, model, tight(), 1, StoreOptions::default())
+            .unwrap();
+    let batches = churn_batches(n);
+    store.ingest(&batches[0]).unwrap();
+    let logged = wal_bytes(&dir);
+
+    let mut huge = EdgeBatch::new();
+    huge.insert_weighted(3, 50, 1e70);
+    assert!(matches!(
+        store.engine().validate_batch(&huge),
+        Err(UpdateError::Solver(SolverError::InvalidModel(_)))
+    ));
+    assert!(matches!(
+        store.ingest(&huge),
+        Err(StoreError::Update(UpdateError::Solver(
+            SolverError::InvalidModel(_)
+        )))
+    ));
+    assert_eq!(wal_bytes(&dir), logged, "the refused batch reached the log");
+    assert_eq!(store.generation(), 1);
+
+    // Not poisoned: the next batch ingests, and a restart recovers the
+    // acknowledged generation.
+    assert_eq!(store.ingest(&batches[1]).unwrap().generation, 2);
+    let mut served = Vec::new();
+    store.reader().snapshot_into(&mut served);
+    drop(store);
+    let (store, report) = DurableServingEngine::open(&dir, 1, StoreOptions::default()).unwrap();
+    assert_eq!(report.outcome.replayed_batches, 2);
+    assert_eq!(store.generation(), 2);
+    let mut recovered = Vec::new();
+    store.reader().snapshot_into(&mut recovered);
+    assert_close(&recovered, &served, 1e-7);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
