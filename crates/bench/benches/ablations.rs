@@ -6,8 +6,8 @@
 //!   against the naive `deg.powf(-p)` (which overflows for extreme `p` —
 //!   benchmarked only on the safe range);
 //! * **oracle push vs engine pull** — the reference power iteration
-//!   against the production engine at 1, 2 and 4 threads, with and
-//!   without the transpose-construction cost;
+//!   against the production engine, with and without the
+//!   transpose-construction cost;
 //! * **fractional-rank Spearman vs d² formula** — tie-correct ranking
 //!   against the classic no-ties shortcut;
 //! * **warm vs cold sweeps** — re-using the previous grid point's solution
@@ -89,39 +89,30 @@ fn kernel_logspace_vs_direct(c: &mut Criterion) {
     group.finish();
 }
 
-fn serial_vs_parallel(c: &mut Criterion) {
+fn oracle_vs_engine(c: &mut Criterion) {
     let g = barabasi_albert(20_000, 8, 5).expect("generator succeeds");
     let model = TransitionModel::DegreeDecoupled { p: 0.5 };
     let matrix = TransitionMatrix::build(&g, model);
     let cfg = PageRankConfig::default();
-    let mut group = c.benchmark_group("ablation_serial_vs_parallel");
+    let mut group = c.benchmark_group("ablation_oracle_vs_engine");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(5));
     group.bench_function("oracle_push", |b| {
         b.iter(|| black_box(pagerank_with_matrix(black_box(&g), &matrix, &cfg, None)))
     });
+    group.bench_function("engine_pull_incl_transpose", |b| {
+        b.iter(|| {
+            let mut engine = Engine::new(black_box(&g));
+            black_box(engine.solve_model(model).expect("valid inputs"))
+        })
+    });
     let csc = Arc::new(CscStructure::build(&g));
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("engine_pull_incl_transpose", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let mut engine = Engine::with_threads(black_box(&g), threads);
-                    black_box(engine.solve_model(model).expect("valid inputs"))
-                })
-            },
-        );
-        let mut engine =
-            Engine::with_structure(&g, Arc::clone(&csc), threads).expect("matching structure");
-        engine.set_model(model).expect("valid model");
-        group.bench_with_input(
-            BenchmarkId::new("engine_pull_prebuilt", threads),
-            &threads,
-            |b, _| b.iter(|| black_box(engine.solve().expect("valid inputs"))),
-        );
-    }
+    let mut engine = Engine::with_structure(&g, csc).expect("matching structure");
+    engine.set_model(model).expect("valid model");
+    group.bench_function("engine_pull_prebuilt", |b| {
+        b.iter(|| black_box(engine.solve().expect("valid inputs")))
+    });
     group.finish();
 }
 
@@ -166,7 +157,7 @@ criterion_group!(
     theta_caching,
     warm_vs_cold_sweep,
     kernel_logspace_vs_direct,
-    serial_vs_parallel,
+    oracle_vs_engine,
     spearman_variants
 );
 criterion_main!(benches);

@@ -11,10 +11,9 @@
 //!   count, and every call site the seed shipped (its tests and benches)
 //!   used 4, so the 4-thread run is the configuration the seed actually
 //!   ran in; the 1-thread run is reported alongside for transparency.
-//! * **engine_cold** — the fused [`Engine`]: structural transpose and arc
-//!   permutation built once, operator rewritten in place per point, one
-//!   persistent arc-balanced worker pool; every point starts from the
-//!   teleport distribution.
+//! * **engine_cold** — the fused [`Engine`]: structural transpose built
+//!   once, operator rewritten in place per point, every solve on one
+//!   thread; every point starts from the teleport distribution.
 //! * **engine_warm** — same, but each grid point warm-starts from the
 //!   previous point's solution (the engine's sweep mode).
 //!
@@ -26,8 +25,8 @@
 //! machine-readable from PR 1 onward.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use d2pr_bench::{axis_json, report_ms, thread_axis};
-use d2pr_core::engine::{default_threads, Engine};
+use d2pr_bench::{host_cpus, report_ms};
+use d2pr_core::engine::Engine;
 use d2pr_core::pagerank::{PageRankConfig, PageRankResult};
 use d2pr_core::transition::{TransitionMatrix, TransitionModel};
 use d2pr_graph::csr::CsrGraph;
@@ -226,8 +225,8 @@ fn models() -> Vec<TransitionModel> {
         .collect()
 }
 
-fn engine_sweep(graph: &CsrGraph, warm: bool, threads: usize) -> Vec<PageRankResult> {
-    let mut engine = Engine::with_threads(graph, threads);
+fn engine_sweep(graph: &CsrGraph, warm: bool) -> Vec<PageRankResult> {
+    let mut engine = Engine::new(graph);
     engine.sweep(&models(), warm).expect("valid sweep")
 }
 
@@ -256,13 +255,11 @@ fn operator_update_allocations(graph: &CsrGraph) -> u64 {
 
 fn p_sweep_comparison(c: &mut Criterion) {
     let graph = bench_graph();
-    let threads = default_threads();
     let config = PageRankConfig::default();
     println!(
-        "graph: {} nodes, {} arcs, {} threads",
+        "graph: {} nodes, {} arcs",
         graph.num_nodes(),
-        graph.num_arcs(),
-        threads
+        graph.num_arcs()
     );
 
     // The thread count every call site in the seed repo hardcoded.
@@ -270,8 +267,8 @@ fn p_sweep_comparison(c: &mut Criterion) {
 
     // Correctness cross-check before timing anything.
     let seed_results = seed_baseline::sweep(&graph, &SWEEP_PS, &config, SEED_CANONICAL_THREADS);
-    let cold_results = engine_sweep(&graph, false, threads);
-    let warm_results = engine_sweep(&graph, true, threads);
+    let cold_results = engine_sweep(&graph, false);
+    let warm_results = engine_sweep(&graph, true);
     check_agreement(&seed_results, &cold_results);
     check_agreement(&seed_results, &warm_results);
     let iters = |rs: &[PageRankResult]| rs.iter().map(|r| r.iterations).sum::<usize>();
@@ -320,30 +317,18 @@ fn p_sweep_comparison(c: &mut Criterion) {
         })
     });
     group.bench_function("engine_cold", |b| {
-        b.iter(|| black_box(engine_sweep(black_box(&graph), false, threads)))
+        b.iter(|| black_box(engine_sweep(black_box(&graph), false)))
     });
     group.bench_function("engine_warm", |b| {
-        b.iter(|| black_box(engine_sweep(black_box(&graph), true, threads)))
+        b.iter(|| black_box(engine_sweep(black_box(&graph), true)))
     });
     // The engine's designed usage: the structural transpose is cached per
     // graph and sweeps reuse it (the sweep-reuse contract), so measure a
     // persistent engine separately from the build-everything-per-sweep runs.
-    let mut persistent = Engine::with_threads(&graph, threads);
+    let mut persistent = Engine::new(&graph);
     group.bench_function("engine_prebuilt_warm", |b| {
         b.iter(|| black_box(persistent.sweep(&models(), true).expect("valid sweep")))
     });
-    // Thread-count axis: the prebuilt warm sweep at every power-of-two
-    // worker count up to the host's parallelism, so runs from hosts with
-    // different core counts stay comparable. The transpose is *shared*
-    // across the axis engines (one build, `Arc`-cloned).
-    let thread_axis = thread_axis(threads);
-    let shared = persistent.shared_structure();
-    for &t in &thread_axis {
-        let mut engine = Engine::with_structure(&graph, shared.clone(), t).expect("same graph");
-        group.bench_function(format!("engine_prebuilt_warm_t{t}").as_str(), |b| {
-            b.iter(|| black_box(engine.sweep(&models(), true).expect("valid sweep")))
-        });
-    }
     // Layout × index axes: the prebuilt warm sweep under every cache-aware
     // node ordering (baseline / degree-descending / RCM), each measured
     // both with the narrow (u32) offsets copy the kernels prefer and with
@@ -360,8 +345,7 @@ fn p_sweep_comparison(c: &mut Criterion) {
             ("wide", csc.without_narrow_index()),
         ] {
             let combo = format!("{}_{index}", layout.name());
-            let mut engine =
-                Engine::with_structure(&internal, Arc::new(csc), threads).expect("same graph");
+            let mut engine = Engine::with_structure(&internal, Arc::new(csc)).expect("same graph");
             let results = engine.sweep(&models(), true).expect("valid sweep");
             for (seed, r) in seed_results.iter().zip(&results) {
                 for (v, s) in seed.scores.iter().enumerate() {
@@ -389,7 +373,6 @@ fn p_sweep_comparison(c: &mut Criterion) {
     let cold_ms = ms("engine_cold");
     let warm_ms = ms("engine_warm");
     let prebuilt_ms = ms("engine_prebuilt_warm");
-    let axis_ms = axis_json(&thread_axis, |t| ms(&format!("engine_prebuilt_warm_t{t}")));
     let layout_ms: Vec<(String, f64)> = layout_combos
         .iter()
         .map(|combo| {
@@ -430,7 +413,6 @@ fn p_sweep_comparison(c: &mut Criterion) {
             "\"nodes\": {}, \"arcs\": {}}},\n",
             "  \"sweep_ps\": [-1.0, -0.5, 0.0, 0.5, 1.0],\n",
             "  \"host_cpus\": {},\n",
-            "  \"engine_threads\": {},\n",
             "  \"tolerance\": {:e},\n",
             "  \"iterations\": {{\"seed\": {}, \"engine_cold\": {}, \"engine_warm\": {}}},\n",
             "  \"seed_rebuild_4threads_ms\": {:.2},\n",
@@ -438,7 +420,6 @@ fn p_sweep_comparison(c: &mut Criterion) {
             "  \"engine_cold_ms\": {:.2},\n",
             "  \"engine_warm_ms\": {:.2},\n",
             "  \"engine_prebuilt_warm_ms\": {:.2},\n",
-            "  \"engine_prebuilt_warm_ms_by_threads\": {},\n",
             "  \"engine_prebuilt_warm_ms_by_layout\": {},\n",
             "  \"layout_best\": \"{}\",\n",
             "  \"speedup_layout_best_vs_baseline\": {:.3},\n",
@@ -453,8 +434,7 @@ fn p_sweep_comparison(c: &mut Criterion) {
         graph.num_nodes(),
         graph.num_nodes(),
         graph.num_arcs(),
-        default_threads(),
-        threads,
+        host_cpus(),
         config.tolerance,
         seed_iters,
         cold_iters,
@@ -464,7 +444,6 @@ fn p_sweep_comparison(c: &mut Criterion) {
         cold_ms,
         warm_ms,
         prebuilt_ms,
-        axis_ms,
         layout_json,
         best.0,
         baseline_wide_ms / best.1,

@@ -44,8 +44,8 @@
 //! warm pipeline and ≈ 48× faster than the seed rebuild deployment.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use d2pr_bench::{axis_json, report_ms, thread_axis};
-use d2pr_core::engine::{default_threads, Engine, ResolveMode};
+use d2pr_bench::{host_cpus, report_ms};
+use d2pr_core::engine::{Engine, ResolveMode};
 use d2pr_core::pagerank::{PageRankConfig, PageRankResult};
 use d2pr_core::transition::{TransitionMatrix, TransitionModel};
 use d2pr_graph::builder::GraphBuilder;
@@ -366,13 +366,12 @@ fn seed_rebuild(
 fn cold_engine(
     stream: &Stream,
     config: &PageRankConfig,
-    threads: usize,
     model: TransitionModel,
 ) -> (usize, Vec<Vec<f64>>) {
     let mut iterations = 0;
     let mut scores = Vec::with_capacity(BATCHES);
     for snap in &stream.snapshots {
-        let mut engine = Engine::with_threads(snap, threads)
+        let mut engine = Engine::new(snap)
             .with_config(*config)
             .expect("valid config");
         let r = engine.solve_model(model).expect("valid model");
@@ -388,7 +387,6 @@ fn cold_engine(
 fn warm_incremental(
     stream: &Stream,
     config: &PageRankConfig,
-    threads: usize,
     model: TransitionModel,
     csc0: &CscStructure,
     scores0: &[f64],
@@ -399,7 +397,7 @@ fn warm_incremental(
     let mut prev = scores0.to_vec();
     for (snap, delta) in stream.snapshots.iter().zip(&stream.deltas) {
         let patched = Arc::new(csc.patched(snap, delta).expect("consistent delta"));
-        let mut engine = Engine::with_structure(snap, patched, threads)
+        let mut engine = Engine::with_structure(snap, patched)
             .expect("structure matches snapshot")
             .with_config(*config)
             .expect("valid config");
@@ -423,7 +421,6 @@ fn warm_incremental(
 fn localized_incremental(
     stream: &Stream,
     config: &PageRankConfig,
-    threads: usize,
     model: TransitionModel,
     csc0: &CscStructure,
     scores0: &[f64],
@@ -436,7 +433,7 @@ fn localized_incremental(
     // graph (outside the measured region the cost is identical for every
     // strategy; inside the loop only `patched` + `from_state` are paid).
     let initial = &stream.initial;
-    let mut engine0 = Engine::with_structure(initial, Arc::new(csc0.clone()), threads)
+    let mut engine0 = Engine::with_structure(initial, Arc::new(csc0.clone()))
         .expect("fresh structure")
         .with_config(*config)
         .expect("valid config");
@@ -483,23 +480,21 @@ struct RegimeResult {
     max_divergence: f64,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_regime(
     c: &mut Criterion,
     label: &str,
     stream: &Stream,
     config: &PageRankConfig,
-    threads: usize,
     model: TransitionModel,
     csc0: &CscStructure,
     scores0: &[f64],
 ) -> RegimeResult {
     // Iteration accounting + cross-strategy agreement, measured once.
     let (iters_seed, scores_seed) = seed_rebuild(stream, config, model);
-    let (iters_cold, scores_cold) = cold_engine(stream, config, threads, model);
-    let (iters_warm, scores_warm) = warm_incremental(stream, config, threads, model, csc0, scores0);
+    let (iters_cold, scores_cold) = cold_engine(stream, config, model);
+    let (iters_warm, scores_warm) = warm_incremental(stream, config, model, csc0, scores0);
     let (work_localized, scores_localized, localized_modes) =
-        localized_incremental(stream, config, threads, model, csc0, scores0);
+        localized_incremental(stream, config, model, csc0, scores0);
     let divergence = max_l1(&scores_warm, &scores_seed)
         .max(max_l1(&scores_warm, &scores_cold))
         .max(max_l1(&scores_localized, &scores_cold));
@@ -539,14 +534,13 @@ fn run_regime(
         b.iter(|| black_box(seed_rebuild(black_box(stream), config, model)))
     });
     group.bench_function(cold_name.as_str(), |b| {
-        b.iter(|| black_box(cold_engine(black_box(stream), config, threads, model)))
+        b.iter(|| black_box(cold_engine(black_box(stream), config, model)))
     });
     group.bench_function(warm_name.as_str(), |b| {
         b.iter(|| {
             black_box(warm_incremental(
                 black_box(stream),
                 config,
-                threads,
                 model,
                 csc0,
                 scores0,
@@ -558,7 +552,6 @@ fn run_regime(
             black_box(localized_incremental(
                 black_box(stream),
                 config,
-                threads,
                 model,
                 csc0,
                 scores0,
@@ -634,15 +627,13 @@ fn regime_json(r: &RegimeResult) -> String {
 
 fn incremental_updates(c: &mut Criterion) {
     let initial = barabasi_albert(NODES, ATTACH, 0xD2).expect("generator succeeds");
-    let threads = default_threads();
     let config = solver_config();
     let initial_edges = initial.num_edges();
     println!(
-        "graph: {} nodes, {} arcs initially, {} batches per regime, {} threads",
+        "graph: {} nodes, {} arcs initially, {} batches per regime",
         NODES,
         initial.num_arcs(),
-        BATCHES,
-        threads
+        BATCHES
     );
 
     let bulk = build_stream(
@@ -655,17 +646,15 @@ fn incremental_updates(c: &mut Criterion) {
     // Pre-stream solve: the serving system is warm before the first batch
     // arrives (identical cost for every strategy, so it is not measured).
     let csc0 = CscStructure::build(&initial);
-    let mut engine0 = Engine::with_structure(&initial, Arc::new(csc0.clone()), threads)
+    let mut engine0 = Engine::with_structure(&initial, Arc::new(csc0.clone()))
         .expect("fresh structure")
         .with_config(config)
         .expect("valid config");
     let scores0 = engine0.solve_model(MODEL).expect("initial solve").scores;
     drop(engine0);
 
-    let bulk_r = run_regime(c, "bulk", &bulk, &config, threads, MODEL, &csc0, &scores0);
-    let trickle_r = run_regime(
-        c, "trickle", &trickle, &config, threads, MODEL, &csc0, &scores0,
-    );
+    let bulk_r = run_regime(c, "bulk", &bulk, &config, MODEL, &csc0, &scores0);
+    let trickle_r = run_regime(c, "trickle", &trickle, &config, MODEL, &csc0, &scores0);
 
     // Third regime: the same trickle stream at the *serving* tolerance the
     // evolving scenario defaults to (1e-6 -- re-solving far below the next
@@ -675,7 +664,7 @@ fn incremental_updates(c: &mut Criterion) {
         tolerance: 1e-6,
         ..config
     };
-    let mut engine_s = Engine::with_structure(&initial, Arc::new(csc0.clone()), threads)
+    let mut engine_s = Engine::with_structure(&initial, Arc::new(csc0.clone()))
         .expect("fresh structure")
         .with_config(serving_config)
         .expect("valid config");
@@ -686,7 +675,6 @@ fn incremental_updates(c: &mut Criterion) {
         "trickle_serving",
         &trickle,
         &serving_config,
-        threads,
         MODEL,
         &csc0,
         &scores0_serving,
@@ -702,7 +690,7 @@ fn incremental_updates(c: &mut Criterion) {
     let weighted_initial = build_weighted_initial(0xD2);
     let weighted = build_weighted_stream(&weighted_initial, 0x3A7E);
     let csc0_w = CscStructure::build(&weighted_initial);
-    let mut engine_w = Engine::with_structure(&weighted_initial, Arc::new(csc0_w.clone()), threads)
+    let mut engine_w = Engine::with_structure(&weighted_initial, Arc::new(csc0_w.clone()))
         .expect("fresh structure")
         .with_config(config)
         .expect("valid config");
@@ -716,7 +704,6 @@ fn incremental_updates(c: &mut Criterion) {
         "weighted_trickle",
         &weighted,
         &config,
-        threads,
         WEIGHTED_MODEL,
         &csc0_w,
         &scores0_weighted,
@@ -730,42 +717,6 @@ fn incremental_updates(c: &mut Criterion) {
         weighted_r.localized_modes
     );
 
-    // Thread-count axis: the serving pipeline (the hot path this bench
-    // guards) at every power-of-two worker count up to the host's
-    // parallelism, so multi-core hosts stay comparable with the 1-CPU
-    // trajectory. Uses the same stream, tolerance, and state handoff.
-    let axis = thread_axis(threads);
-    {
-        let mut group = c.benchmark_group("incremental_updates");
-        if cfg!(feature = "smoke") {
-            group
-                .sample_size(2)
-                .measurement_time(Duration::from_secs(2));
-        } else {
-            group
-                .sample_size(3)
-                .measurement_time(Duration::from_secs(10));
-        }
-        for &t in &axis {
-            group.bench_function(format!("trickle_serving/localized_t{t}").as_str(), |b| {
-                b.iter(|| {
-                    black_box(localized_incremental(
-                        black_box(&trickle),
-                        &serving_config,
-                        t,
-                        MODEL,
-                        &csc0,
-                        &scores0_serving,
-                    ))
-                })
-            });
-        }
-        group.finish();
-    }
-    let axis_ms = axis_json(&axis, |t| {
-        report_ms(c, &format!("trickle_serving/localized_t{t}"))
-    });
-
     let json = format!(
         concat!(
             "{{\n",
@@ -776,12 +727,10 @@ fn incremental_updates(c: &mut Criterion) {
             "  \"tolerance\": {:e},\n",
             "  \"batches_per_regime\": {},\n",
             "  \"host_cpus\": {},\n",
-            "  \"engine_threads\": {},\n",
             "  \"bulk_1pct_churn\": {},\n",
             "  \"trickle_single_edge\": {},\n",
             "  \"trickle_single_edge_serving_tol_1e6\": {},\n",
             "  \"weighted_trickle_reweight_blended_beta05\": {},\n",
-            "  \"localized_trickle_serving_ms_by_threads\": {},\n",
             "  \"note\": \"localized_incremental is the PR-3 serving pipeline: engine-state ",
             "handoff (patched transpose, frontier-patched operator tables) ",
             "plus the auto-selected residual-localized push with sweep fallbacks. ",
@@ -798,13 +747,11 @@ fn incremental_updates(c: &mut Criterion) {
         initial.num_arcs(),
         config.tolerance,
         BATCHES,
-        default_threads(),
-        threads,
+        host_cpus(),
         regime_json(&bulk_r),
         regime_json(&trickle_r),
         regime_json(&serving_r),
         regime_json(&weighted_r),
-        axis_ms,
     );
     // Smoke runs feed the CI perf guard from a scratch path; acceptance
     // runs update the committed trajectory at the workspace root.

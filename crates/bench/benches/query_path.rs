@@ -85,7 +85,6 @@ fn time_ns<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
 }
 
 fn main() {
-    let threads = default_threads();
     eprintln!("query_path: generating BA({NODES}, {ATTACH}) ...");
     let graph = barabasi_albert(NODES, ATTACH, SEED).expect("graph generates");
     let arcs = graph.num_arcs();
@@ -95,7 +94,7 @@ fn main() {
     let batches = churn_stream(&graph, BATCHES, 0.0, &mut rng).expect("unweighted");
 
     let mut serving =
-        ServingEngine::new(graph, MODEL, serving_config(), threads).expect("serving engine");
+        ServingEngine::new(graph, MODEL, serving_config(), 1).expect("serving engine");
     let reader = serving.reader();
     let capacity = serving.top_k_capacity();
     assert!(K <= capacity, "K must ride the indexed path");
@@ -128,8 +127,8 @@ fn main() {
     let shard_graphs: Vec<_> = (0..SHARDS)
         .map(|s| barabasi_albert(SHARD_NODES, ATTACH, SEED + s as u64).expect("graph generates"))
         .collect();
-    let manager = ShardManager::from_graphs(shard_graphs, MODEL, serving_config(), threads)
-        .expect("shard manager");
+    let manager =
+        ShardManager::from_graphs(shard_graphs, MODEL, serving_config()).expect("shard manager");
     let global_ns = time_ns(GLOBAL_REPS, || manager.top_k_global(K));
 
     let mut node = 7u32;

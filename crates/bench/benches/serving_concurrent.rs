@@ -231,7 +231,6 @@ fn drive(
 }
 
 fn main() {
-    let threads = default_threads();
     eprintln!("serving_concurrent: generating BA({NODES}, {ATTACH}) ...");
     let graph = barabasi_albert(NODES, ATTACH, SEED).expect("graph generates");
     let arcs = graph.num_arcs();
@@ -240,8 +239,7 @@ fn main() {
     let config = serving_config();
 
     // -- Live: double-buffered publication, readers never excluded.
-    let mut serving =
-        ServingEngine::new(graph.clone(), MODEL, config, threads).expect("serving engine");
+    let mut serving = ServingEngine::new(graph.clone(), MODEL, config, 1).expect("serving engine");
     let reader = serving.reader();
     let (refresh_ms, stream_ms, counters) = drive(
         &batches,
@@ -267,7 +265,7 @@ fn main() {
             dg.apply_batch(batch).expect("valid batch");
         }
         let final_graph = dg.snapshot();
-        let mut engine = Engine::with_threads(&final_graph, threads)
+        let mut engine = Engine::new(&final_graph)
             .with_config(config)
             .expect("config");
         let cold = engine.solve_model(MODEL).expect("cold solve");
@@ -287,7 +285,7 @@ fn main() {
     // -- Stop-the-world: same solver work, but scores live behind the
     //    writer-priority lock whose guard spans the whole refresh.
     let mut serving_stw =
-        ServingEngine::new(graph.clone(), MODEL, config, threads).expect("serving engine");
+        ServingEngine::new(graph.clone(), MODEL, config, 1).expect("serving engine");
     let stw_reader = serving_stw.reader();
     let published = {
         let mut initial = Vec::new();
@@ -341,7 +339,6 @@ fn main() {
             "  \"reader_threads\": {},\n",
             "  \"idle_between_batches_ms\": {},\n",
             "  \"host_cpus\": {},\n",
-            "  \"engine_threads\": {},\n",
             "  \"live\": {},\n",
             "  \"stop_the_world\": {},\n",
             "  \"read_availability_during_refresh_ratio\": {:.3},\n",
@@ -374,7 +371,6 @@ fn main() {
         READERS,
         IDLE.as_millis(),
         default_threads(),
-        threads,
         live.json(),
         stw.json(),
         availability_ratio,

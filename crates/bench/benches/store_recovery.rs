@@ -62,7 +62,6 @@ fn serving_config() -> PageRankConfig {
 }
 
 fn main() {
-    let threads = default_threads();
     let config = serving_config();
     eprintln!("store_recovery: generating BA({NODES}, {ATTACH}) ...");
     let graph = barabasi_albert(NODES, ATTACH, SEED).expect("graph generates");
@@ -75,8 +74,7 @@ fn main() {
         .sum();
 
     // -- In-memory baseline: the same stream with no durability.
-    let mut mem =
-        ServingEngine::new(graph.clone(), MODEL, config, threads).expect("serving engine");
+    let mut mem = ServingEngine::new(graph.clone(), MODEL, config, 1).expect("serving engine");
     let t0 = Instant::now();
     for batch in &batches {
         let refresh = mem.ingest(batch).expect("refresh");
@@ -94,9 +92,8 @@ fn main() {
         snapshot_every: 0,
         ..Default::default()
     };
-    let mut durable =
-        DurableServingEngine::create(&dir, graph.clone(), MODEL, config, threads, opts)
-            .expect("durable engine");
+    let mut durable = DurableServingEngine::create(&dir, graph.clone(), MODEL, config, 1, opts)
+        .expect("durable engine");
     let t0 = Instant::now();
     for batch in &batches {
         let refresh = durable.ingest(batch).expect("durable refresh");
@@ -113,7 +110,7 @@ fn main() {
     //    path a production restart pays.
     let t0 = Instant::now();
     let (recovered, report) =
-        DurableServingEngine::open(&dir, threads, StoreOptions::default()).expect("recovery");
+        DurableServingEngine::open(&dir, 1, StoreOptions::default()).expect("recovery");
     let recovery_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert_eq!(report.recovered_generation, acked);
     assert_eq!(report.outcome.replayed_batches, BATCHES);
@@ -128,7 +125,7 @@ fn main() {
             dg.apply_batch(batch).expect("valid batch");
         }
         let final_graph = dg.snapshot();
-        let mut engine = Engine::with_threads(&final_graph, threads)
+        let mut engine = Engine::new(&final_graph)
             .with_config(config)
             .expect("config");
         let cold = engine.solve_model(MODEL).expect("cold solve");
@@ -164,7 +161,6 @@ fn main() {
             "  \"batches\": {},\n",
             "  \"mutated_arcs\": {},\n",
             "  \"host_cpus\": {},\n",
-            "  \"engine_threads\": {},\n",
             "  \"mem_ingest_ms\": {:.2},\n",
             "  \"durable_ingest_ms\": {:.2},\n",
             "  \"ingest_overhead_durable_over_mem\": {:.3},\n",
@@ -195,7 +191,6 @@ fn main() {
         BATCHES,
         mutated_arcs,
         default_threads(),
-        threads,
         mem_ingest_ms,
         durable_ingest_ms,
         ingest_overhead,

@@ -36,31 +36,10 @@ pub fn bench_graph_weighted(graph: d2pr_datagen::worlds::PaperGraph) -> (CsrGrap
     (g.clone(), s.to_vec())
 }
 
-/// The host's CPU count as the benches record it (1 when the OS refuses
-/// to say). The one source for both the thread-axis cap and the
-/// `host_cpus` marker written next to every axis entry.
+/// The host's CPU count as the benches record it in their `host_cpus`
+/// marker (1 when the OS refuses to say).
 pub fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Worker counts recorded on the bench JSONs' thread axis: powers of two
-/// up to the host's parallelism (always including 1), capped at
-/// [`host_cpus`] even when a caller requests more — oversubscribed entries
-/// would measure scheduler contention, not the solver. Shared by
-/// `engine_p_sweep` and `incremental_updates`; [`axis_json`] stamps each
-/// entry with the host CPU count so a 1-CPU trajectory and a multi-core
-/// re-run stay distinguishable after the fact.
-pub fn thread_axis(default: usize) -> Vec<usize> {
-    let cap = default.clamp(1, host_cpus());
-    let mut axis: Vec<usize> = [1usize, 2, 4, 8, 16]
-        .into_iter()
-        .filter(|&t| t <= cap)
-        .collect();
-    if !axis.contains(&cap) {
-        axis.push(cap);
-    }
-    axis.sort_unstable();
-    axis
 }
 
 /// Milliseconds for one recorded benchmark, using the statistic the
@@ -78,59 +57,10 @@ pub fn report_ms(c: &criterion::Criterion, name: &str) -> f64 {
     d.expect("benchmark was measured").as_secs_f64() * 1e3
 }
 
-/// JSON object over the thread axis, one entry per worker count:
-/// `{"1": {"ms": 12.30, "host_cpus": 8}, ...}`. The per-entry `host_cpus`
-/// marker records the machine the measurement came from, so axis points
-/// from hosts with different core counts are never conflated when
-/// trajectories are merged across re-runs.
-pub fn axis_json(axis: &[usize], ms_of: impl Fn(usize) -> f64) -> String {
-    let host = host_cpus();
-    let entries: Vec<String> = axis
-        .iter()
-        .map(|&t| {
-            format!(
-                "\"{t}\": {{\"ms\": {:.2}, \"host_cpus\": {host}}}",
-                ms_of(t)
-            )
-        })
-        .collect();
-    format!("{{{}}}", entries.join(", "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use d2pr_datagen::worlds::PaperGraph;
-
-    #[test]
-    fn thread_axis_caps_at_host_parallelism() {
-        let host = host_cpus();
-        // A request beyond the host's parallelism is clamped — no
-        // oversubscribed axis entries.
-        let axis = thread_axis(host * 4);
-        assert_eq!(*axis.last().unwrap(), host);
-        assert!(axis.contains(&1));
-        assert!(axis.windows(2).all(|w| w[0] < w[1]), "sorted, deduplicated");
-        // Degenerate requests still yield a usable axis.
-        assert_eq!(thread_axis(0), vec![1]);
-    }
-
-    #[test]
-    fn axis_json_stamps_host_cpus_per_entry() {
-        let json = axis_json(&[1, 2], |t| t as f64);
-        let host = host_cpus();
-        assert_eq!(
-            json,
-            format!(
-                "{{\"1\": {{\"ms\": 1.00, \"host_cpus\": {host}}}, \
-                 \"2\": {{\"ms\": 2.00, \"host_cpus\": {host}}}}}"
-            )
-        );
-        // The guard's parser must flatten the new shape.
-        let keys = perf_guard::numeric_keys(&format!("{{\"a_ms_by_threads\": {json}}}")).unwrap();
-        assert_eq!(keys["a_ms_by_threads.1.ms"], 1.0);
-        assert_eq!(keys["a_ms_by_threads.2.host_cpus"], host as f64);
-    }
 
     #[test]
     fn fixtures_generate() {

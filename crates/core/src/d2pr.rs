@@ -35,8 +35,6 @@ pub struct D2pr<'g> {
     theta: Vec<f64>,
     config: PageRankConfig,
     beta: f64,
-    /// Worker threads used by the sweep engine (1 = serial).
-    threads: usize,
     /// Reused rank/next/teleport buffers for the point-solve entry points.
     ws: RefCell<Workspace>,
 }
@@ -58,7 +56,6 @@ impl<'g> D2pr<'g> {
             theta,
             config: PageRankConfig::default(),
             beta: 0.0,
-            threads: 1,
             ws: RefCell::new(Workspace::with_capacity(graph.num_nodes())),
         }
     }
@@ -85,22 +82,13 @@ impl<'g> D2pr<'g> {
         self
     }
 
-    /// Set the worker-thread count used by the sweep entry points
-    /// ([`Self::sweep_p`], [`Self::sweep_p_warm`]); clamped to at least 1.
-    /// Point solves ([`Self::scores`]) always use the serial reference
-    /// solver.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// A fused sweep [`Engine`] over the same graph, threads, and solver
+    /// A fused sweep [`Engine`] over the same graph and solver
     /// configuration.
     ///
     /// # Errors
     /// Returns the validation message when the configuration is invalid.
     pub fn engine(&self) -> Result<Engine<'g>, String> {
-        Engine::with_threads(self.graph, self.threads)
+        Engine::new(self.graph)
             .with_config(self.config)
             .map_err(String::from)
     }
@@ -168,9 +156,8 @@ impl<'g> D2pr<'g> {
     }
 
     /// Sweep the de-coupling weight over `ps` through the fused [`Engine`]:
-    /// the transpose structure is built once, the operator is rewritten in
-    /// place per grid point, and one worker pool serves the whole sweep.
-    /// Returns `(p, result)` pairs in input order.
+    /// the transpose structure is built once and the operator is rewritten
+    /// in place per grid point. Returns `(p, result)` pairs in input order.
     ///
     /// # Errors
     /// Fails fast on the first invalid parameter.

@@ -1,11 +1,13 @@
-//! The fused pull-engine: one operator form, one worker pool, zero
+//! The fused pull-engine: one operator form, one thread per solve, zero
 //! per-sweep-point allocations.
 //!
 //! The paper's experiments are parameter sweeps — dozens of PageRank solves
 //! over a grid of `p` (and `α`, `β`) on a fixed graph. [`Engine`] builds the
-//! structural transpose ([`CscStructure`]) and the arc-balanced destination
-//! partitions once per graph, parks one set of worker threads on barriers
-//! and reuses them across *all* iterations of *all* grid points.
+//! structural transpose ([`CscStructure`]) once per graph and rewrites the
+//! operator tables in place per grid point. A solve runs on the calling
+//! thread; parallelism lives *across* independent solves — engines built
+//! with [`Engine::with_structure`] over one shared `Arc<CscStructure>`
+//! (the experiment crate's grid workers), shards and personalization views.
 //!
 //! Every model runs one **factored operator**: the blend of §3.2.3,
 //! `T_B = β·T_conn + (1−β)·T_D`, is a sum of per-node tables and the arc
@@ -31,35 +33,24 @@
 //! against.
 
 use crate::error::{SolverError, UpdateError};
-use crate::exec::{sim_event, ExecBarrier};
+use crate::exec::sim_event;
 use crate::kernel::{gather_plain, gather_weighted};
 use crate::pagerank::{DanglingPolicy, PageRankConfig, PageRankResult};
-use crate::pool::{PadCell, SharedMut, WorkerPool};
-use crate::residual::{LocalizedParams, ParallelPushCtx};
+use crate::residual::LocalizedParams;
 use crate::transition::TransitionModel;
 use crate::workspace::Workspace;
 use d2pr_graph::csr::CsrGraph;
 use d2pr_graph::delta::ArcDelta;
 use d2pr_graph::error::GraphError;
 use d2pr_graph::transpose::CscStructure;
-use std::cell::UnsafeCell;
-use std::ops::Range;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Number of worker threads the engine uses by default: the machine's
-/// available parallelism.
+/// The machine's available parallelism: how many independent solves a
+/// caller may run at once (the experiment crate sizes its grid workers
+/// with it). A single solve always runs on one thread.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
-
-/// Default minimum frontier estimate (summed in+out degree of the delta's
-/// endpoints) before [`Engine::resolve_localized`] drains the residual
-/// with the frontier-parallel push instead of the serial queue. Below it,
-/// barrier latency (~3 rendezvous per sub-round) outweighs the per-arc
-/// work the workers would split. Tune per deployment with
-/// [`Engine::set_parallel_push_threshold`].
-pub const DEFAULT_PARALLEL_PUSH_THRESHOLD: usize = 1 << 15;
 
 /// Which strategy an incremental re-solve actually ran (the auto-selecting
 /// [`Engine::resolve_incremental`] chooses; the explicit entry points can
@@ -114,12 +105,6 @@ pub struct IncrementalOutcome {
     pub frontier: usize,
     /// Residual pushes performed (0 for sweeps).
     pub pushes: usize,
-    /// OS threads this engine lineage has spawned since construction
-    /// (carried across [`EngineState`] handoffs). The pool-reuse
-    /// observability hook: steady-state serving must report a constant —
-    /// the worker count paid once at construction — because solve calls
-    /// never spawn.
-    pub pool_spawns: usize,
 }
 
 /// The set of nodes whose scores an incremental re-solve may have changed,
@@ -186,7 +171,7 @@ impl TouchedSet {
 /// use d2pr_graph::generators::barabasi_albert;
 ///
 /// let g = barabasi_albert(300, 3, 11).unwrap();
-/// let mut engine = Engine::with_threads(&g, 1);
+/// let mut engine = Engine::new(&g);
 /// engine.set_model(TransitionModel::DegreeDecoupled { p: 0.5 }).unwrap();
 /// let mut served = engine.solve().unwrap().scores;
 /// let mut state = engine.into_state();
@@ -220,29 +205,7 @@ pub struct EngineState {
     scaled_b: Scaled,
     model: Option<TransitionModel>,
     config: PageRankConfig,
-    threads: usize,
     ws: Workspace,
-    /// The engine's persistent worker pool, riding along so revival spawns
-    /// nothing (see [`PoolCarrier`]).
-    pool: PoolCarrier,
-    threads_spawned: usize,
-    push_parallel_threshold: usize,
-}
-
-/// Carries a [`WorkerPool`] through the cloneable [`EngineState`].
-///
-/// A pool's threads cannot be duplicated, so `Clone` yields an *empty*
-/// carrier: a state clone revives into an engine that spawns a fresh pool
-/// at [`Engine::from_state`] (construction-time, never per solve). The
-/// primary serving chain — move the state, don't clone it — keeps the one
-/// pool alive across every snapshot generation.
-#[derive(Debug, Default)]
-struct PoolCarrier(Option<WorkerPool>);
-
-impl Clone for PoolCarrier {
-    fn clone(&self) -> Self {
-        PoolCarrier(None)
-    }
 }
 
 impl EngineState {
@@ -435,7 +398,8 @@ impl EngineState {
     }
 }
 
-/// Fused pull-based PageRank engine over a borrowed graph.
+/// Fused pull-based PageRank engine over a borrowed graph. Every solve
+/// runs on the calling thread.
 ///
 /// ```
 /// use d2pr_core::engine::Engine;
@@ -474,41 +438,24 @@ pub struct Engine<'g> {
     /// Ping-pong pair of the iterate scaled by the source factors.
     scaled_a: Scaled,
     scaled_b: Scaled,
-    threads: usize,
-    /// Arc-balanced destination ranges, one per worker.
-    partitions: Vec<Range<usize>>,
-    /// Owner map of the frontier-parallel residual drain, balanced by
-    /// **out**-degree spans: settling a node costs its out-arcs, not its
-    /// in-arcs, so routing the drain through the sweep's in-arc partition
-    /// left whichever worker owned the out-degree hubs settling long after
-    /// the rest had reached the barrier (ROADMAP follow-up, fixed here;
-    /// imbalance measured by `push_owner_map_balances_settle_work`). Empty
-    /// for single-partition engines.
-    push_owner: Vec<u32>,
-    /// Persistent parked worker threads; `None` for single-partition
-    /// engines (which solve serially). Spawned at construction — never
-    /// inside a solve call — and carried across [`EngineState`] handoffs.
-    pool: Option<WorkerPool>,
-    /// OS threads spawned by this engine lineage (see
-    /// [`IncrementalOutcome::pool_spawns`]).
-    threads_spawned: usize,
-    /// Frontier estimate above which localized drains go parallel.
-    push_parallel_threshold: usize,
     config: PageRankConfig,
     model: Option<TransitionModel>,
     ws: Workspace,
 }
 
 impl<'g> Engine<'g> {
-    /// Engine with [`default_threads`] workers and the paper's default
-    /// solver configuration.
+    /// Engine with the paper's default solver configuration.
     pub fn new(graph: &'g CsrGraph) -> Self {
-        Self::with_threads(graph, default_threads())
+        Self::from_parts(graph, Arc::new(CscStructure::build(graph)))
     }
 
-    /// Engine with an explicit worker count (clamped to at least 1).
+    /// Equal to [`Engine::new`]: a solve runs on one thread, so `threads`
+    /// is ignored. Kept only for the benchmark client; the next
+    /// benchmark-only change removes it.
+    #[deprecated(note = "a solve runs on one thread; use `Engine::new`")]
     pub fn with_threads(graph: &'g CsrGraph, threads: usize) -> Self {
-        Self::from_parts(graph, Arc::new(CscStructure::build(graph)), threads)
+        let _ = threads;
+        Self::new(graph)
     }
 
     /// Engine over a prebuilt, possibly **shared** transpose structure.
@@ -527,7 +474,7 @@ impl<'g> Engine<'g> {
     /// use d2pr_graph::generators::barabasi_albert;
     ///
     /// let g = barabasi_albert(300, 3, 11).unwrap();
-    /// let mut engine = Engine::with_threads(&g, 1);
+    /// let mut engine = Engine::new(&g);
     /// engine.set_model(TransitionModel::DegreeDecoupled { p: 0.5 }).unwrap();
     /// let before = engine.solve().unwrap();
     ///
@@ -541,7 +488,7 @@ impl<'g> Engine<'g> {
     /// // ... patch the transpose and refresh incrementally: the auto mode
     /// // picks a residual-localized push for a batch this small.
     /// let csc2 = std::sync::Arc::new(engine.csc().patched(&g2, &outcome.delta).unwrap());
-    /// let mut engine2 = Engine::with_structure(&g2, csc2, 1).unwrap();
+    /// let mut engine2 = Engine::with_structure(&g2, csc2).unwrap();
     /// engine2.set_model(TransitionModel::DegreeDecoupled { p: 0.5 }).unwrap();
     /// let after = engine2.resolve_incremental(&before.scores, &outcome.delta).unwrap();
     /// assert!(after.result.converged);
@@ -553,7 +500,6 @@ impl<'g> Engine<'g> {
     pub fn with_structure(
         graph: &'g CsrGraph,
         csc: Arc<CscStructure>,
-        threads: usize,
     ) -> Result<Self, SolverError> {
         if csc.num_nodes() != graph.num_nodes() || csc.num_arcs() != graph.num_arcs() {
             return Err(SolverError::StructureMismatch {
@@ -561,20 +507,12 @@ impl<'g> Engine<'g> {
                 graph: (graph.num_nodes(), graph.num_arcs()),
             });
         }
-        Ok(Self::from_parts(graph, csc, threads))
+        Ok(Self::from_parts(graph, csc))
     }
 
     /// Shared constructor body: derive every per-graph table from an
     /// already-built (or patched) transpose.
-    fn from_parts(graph: &'g CsrGraph, csc: Arc<CscStructure>, threads: usize) -> Self {
-        let threads = threads.max(1);
-        let partitions = csc.arc_balanced_partition(threads);
-        let push_owner = push_owner_map(graph, partitions.len());
-        // The one and only thread spawn of this engine's lifetime: solve
-        // calls (and `EngineState` revivals carrying this pool) reuse the
-        // parked workers.
-        let pool = (partitions.len() > 1).then(|| WorkerPool::spawn(partitions.len()));
-        let threads_spawned = pool.as_ref().map_or(0, WorkerPool::workers);
+    fn from_parts(graph: &'g CsrGraph, csc: Arc<CscStructure>) -> Self {
         let mut dangling_mask = vec![false; graph.num_nodes()];
         for &v in csc.dangling() {
             dangling_mask[v as usize] = true;
@@ -599,12 +537,6 @@ impl<'g> Engine<'g> {
             conn: Vec::new(),
             scaled_a: Scaled::default(),
             scaled_b: Scaled::default(),
-            threads,
-            partitions,
-            push_owner,
-            pool,
-            threads_spawned,
-            push_parallel_threshold: DEFAULT_PARALLEL_PUSH_THRESHOLD,
             config: PageRankConfig::default(),
             model: None,
             ws: Workspace::with_capacity(graph.num_nodes()),
@@ -640,11 +572,6 @@ impl<'g> Engine<'g> {
         self.graph
     }
 
-    /// Worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// The transition model currently loaded, if any.
     pub fn model(&self) -> Option<TransitionModel> {
         self.model
@@ -664,27 +591,12 @@ impl<'g> Engine<'g> {
         Arc::clone(&self.csc)
     }
 
-    /// Set the frontier estimate above which [`Engine::resolve_localized`]
-    /// drains the residual with the frontier-parallel push (default
-    /// [`DEFAULT_PARALLEL_PUSH_THRESHOLD`]). `0` forces the parallel drain
-    /// whenever the engine has a pool; `usize::MAX` pins the serial drain.
-    pub fn set_parallel_push_threshold(&mut self, frontier_arcs: usize) {
-        self.push_parallel_threshold = frontier_arcs;
-    }
-
-    /// OS threads spawned by this engine lineage since construction (also
-    /// reported per call as [`IncrementalOutcome::pool_spawns`]).
-    pub fn pool_spawns(&self) -> usize {
-        self.threads_spawned
-    }
-
     /// Consume the engine, recovering its (shared) transpose structure.
     /// Serving loops use this between delta batches: the engine (which
     /// borrows the old snapshot) is dropped, the structure survives to be
     /// patched against the next snapshot ([`CscStructure::patched`])
     /// without a clone or a rebuild.
     pub fn into_structure(self) -> Arc<CscStructure> {
-        // Field moves out before `self`'s other fields (pool included) drop.
         self.csc
     }
 
@@ -707,21 +619,15 @@ impl<'g> Engine<'g> {
             scaled_b: self.scaled_b,
             model: self.model,
             config: self.config,
-            threads: self.threads,
             ws: self.ws,
-            // The worker pool parks inside the state: revival reattaches
-            // the same OS threads, so the serving loop never respawns.
-            pool: PoolCarrier(self.pool),
-            threads_spawned: self.threads_spawned,
-            push_parallel_threshold: self.push_parallel_threshold,
         }
     }
 
     /// Revive an engine over `graph` from a (patched) [`EngineState`]:
-    /// validates the carried structure against the graph and rebuilds only
-    /// the arc-balanced partitions (`O(V)`). The carried operator tables
-    /// are current for every model, so engine succession is `O(V)`
-    /// instead of `O(V + E)`, with no per-arc work at all.
+    /// validates the carried structure against the graph and moves every
+    /// table in. The carried operator tables are current for every model,
+    /// so engine succession does no `O(V + E)` rebuild and no per-arc
+    /// work at all.
     ///
     /// # Errors
     /// Returns [`SolverError::StructureMismatch`] when the carried state
@@ -737,23 +643,6 @@ impl<'g> Engine<'g> {
                 graph: (n, graph.num_arcs()),
             });
         }
-        let partitions = state.csc.arc_balanced_partition(state.threads);
-        let push_owner = push_owner_map(graph, partitions.len());
-        // Reattach the carried pool when its worker count still matches
-        // the partition layout (the common case: node count is fixed
-        // across deltas, so the partition count is too). A cloned state
-        // (empty carrier) or a layout change respawns — at revival, never
-        // inside a solve.
-        let mut threads_spawned = state.threads_spawned;
-        let pool = match state.pool.0 {
-            Some(p) if p.workers() == partitions.len() && partitions.len() > 1 => Some(p),
-            _ if partitions.len() > 1 => {
-                let p = WorkerPool::spawn(partitions.len());
-                threads_spawned += p.workers();
-                Some(p)
-            }
-            _ => None,
-        };
         Ok(Self {
             graph,
             csc: state.csc,
@@ -765,12 +654,6 @@ impl<'g> Engine<'g> {
             conn: state.conn,
             scaled_a: state.scaled_a,
             scaled_b: state.scaled_b,
-            threads: state.threads,
-            partitions,
-            push_owner,
-            pool,
-            threads_spawned,
-            push_parallel_threshold: state.push_parallel_threshold,
             config: state.config,
             model: state.model,
             ws: state.ws,
@@ -860,12 +743,12 @@ impl<'g> Engine<'g> {
         self.solve()
     }
 
-    /// Run a sweep: one solve per model, in order, with uniform
-    /// teleportation. The worker pool is spawned once and reused across all
-    /// iterations of all grid points; the operator is rewritten in place
-    /// between points. With `warm_start`, each point starts from the
-    /// previous point's solution (same fixed points, fewer iterations when
-    /// consecutive operators are close — the paper's 0.5-step grids are).
+    /// Run a sweep: one solve per model, in order, on the calling thread,
+    /// with uniform teleportation. The operator is rewritten in place
+    /// between points and every buffer is reused. With `warm_start`, each
+    /// point starts from the previous point's solution (same fixed points,
+    /// fewer iterations when consecutive operators are close — the paper's
+    /// 0.5-step grids are).
     ///
     /// # Errors
     /// Fails fast on the first invalid model; no solves run in that case.
@@ -1202,12 +1085,10 @@ impl<'g> Engine<'g> {
                 mode: ResolveMode::LocalizedPush,
                 frontier: 0,
                 pushes: 0,
-                pool_spawns: self.threads_spawned,
             });
         }
-        let frontier_estimate = self.frontier_estimate(delta);
-        let choose_localized =
-            self.localized_supported(delta) && (force_localized || frontier_estimate <= n / 8);
+        let choose_localized = self.localized_supported(delta)
+            && (force_localized || self.frontier_estimate(delta) <= n / 8);
         if !choose_localized {
             if let Some(t) = touched_out.as_deref_mut() {
                 t.mark_all();
@@ -1242,19 +1123,6 @@ impl<'g> Engine<'g> {
             // (sequential access, no queue bookkeeping).
             work_budget: (self.graph.num_arcs() / 2).max(1 << 16),
         };
-        // Frontier-parallel drain: worth the barrier latency only when the
-        // frontier is large; below the threshold the serial queue wins.
-        let par = match &self.pool {
-            Some(pool)
-                if pool.workers() > 1 && frontier_estimate >= self.push_parallel_threshold =>
-            {
-                Some(ParallelPushCtx {
-                    pool,
-                    owner: &self.push_owner,
-                })
-            }
-            _ => None,
-        };
         let Workspace { rank, residual, .. } = &mut self.ws;
         let touched_sink = match touched_out.as_deref_mut() {
             Some(t) => {
@@ -1272,7 +1140,6 @@ impl<'g> Engine<'g> {
             delta,
             rank,
             residual,
-            par,
             touched_sink,
         );
         if stats.converged {
@@ -1304,7 +1171,6 @@ impl<'g> Engine<'g> {
                 mode: ResolveMode::LocalizedPush,
                 frontier: stats.frontier_nodes,
                 pushes: stats.pushes,
-                pool_spawns: self.threads_spawned,
             });
         }
         // Hybrid finisher: the push kept all its progress in `rank`
@@ -1327,7 +1193,6 @@ impl<'g> Engine<'g> {
             mode: ResolveMode::HybridPushSweep,
             frontier: stats.frontier_nodes,
             pushes: stats.pushes,
-            pool_spawns: self.threads_spawned,
         })
     }
 
@@ -1345,12 +1210,12 @@ impl<'g> Engine<'g> {
             mode: ResolveMode::WarmSweep,
             frontier: 0,
             pushes: 0,
-            pool_spawns: self.threads_spawned,
         })
     }
 
-    /// Common sweep driver; `init` seeds the *first* grid point's iterate
-    /// (the warm-start path of [`Engine::resolve_incremental`]).
+    /// The one sweep driver behind every solve entry point, run on the
+    /// calling thread; `init` seeds the *first* grid point's iterate (the
+    /// warm-start path of [`Engine::resolve_incremental`]).
     fn sweep_inner(
         &mut self,
         models: &[TransitionModel],
@@ -1381,21 +1246,6 @@ impl<'g> Engine<'g> {
                 .collect());
         }
         self.ws.set_teleport(n, teleport)?;
-        if self.partitions.len() <= 1 {
-            self.sweep_serial(models, warm_start, init)
-        } else {
-            self.sweep_pooled(models, warm_start, init)
-        }
-    }
-
-    /// Single-threaded sweep (no pool, same math, same buffers).
-    fn sweep_serial(
-        &mut self,
-        models: &[TransitionModel],
-        warm_start: bool,
-        init: Option<&[f64]>,
-    ) -> Result<Vec<PageRankResult>, SolverError> {
-        let n = self.graph.num_nodes();
         let mut results = Vec::with_capacity(models.len());
         for (pi, &model) in models.iter().enumerate() {
             // `solve_model`/`solve` arrive here with the operator already
@@ -1441,168 +1291,6 @@ impl<'g> Engine<'g> {
                 converged: residual < self.config.tolerance,
             });
         }
-        Ok(results)
-    }
-
-    /// Pooled sweep: workers are spawned once, then re-synchronized through
-    /// a pair of barriers for every iteration of every grid point.
-    fn sweep_pooled(
-        &mut self,
-        models: &[TransitionModel],
-        warm_start: bool,
-        init: Option<&[f64]>,
-    ) -> Result<Vec<PageRankResult>, SolverError> {
-        let n = self.graph.num_nodes();
-        let uniform = 1.0 / n as f64;
-        let config = self.config;
-
-        // Pre-size every buffer the pool will share (their pointers are
-        // captured once, so no reallocation may happen inside the scope).
-        for v in [&mut self.node_numer, &mut self.inv_denom, &mut self.conn] {
-            v.resize(n, 0.0);
-        }
-        for s in [&mut self.scaled_a, &mut self.scaled_b] {
-            s.dec.resize(n, 0.0);
-            s.conn.resize(n, 0.0);
-        }
-
-        // Split the engine into disjoint borrows so the parked worker pool
-        // can hold shared state while the main thread keeps updating the
-        // operator.
-        let Engine {
-            graph,
-            csc,
-            dangling_mask,
-            theta,
-            log_theta,
-            partitions,
-            pool,
-            node_numer,
-            inv_denom,
-            conn,
-            scaled_a,
-            scaled_b,
-            ws,
-            model: current_model,
-            ..
-        } = self;
-        ws.init_rank(n, init)?;
-        let Workspace {
-            rank,
-            next,
-            teleport,
-            ..
-        } = ws;
-        let teleport: Option<&[f64]> = if teleport.is_empty() {
-            None
-        } else {
-            Some(&teleport[..])
-        };
-
-        let topo = PullTopo {
-            in_offsets: csc.in_offsets(),
-            narrow_in_offsets: csc.narrow_in_offsets(),
-            in_sources: csc.in_sources(),
-            in_weights: (models.iter().any(|m| m.beta() > 0.0))
-                .then(|| csc.in_weights(graph))
-                .flatten(),
-            dangling_mask,
-            dangling_nodes: csc.dangling(),
-        };
-        let shared = PoolShared::new(
-            &topo,
-            [SharedMut::new(rank), SharedMut::new(next)],
-            FactoredShared {
-                numer: SharedMut::new(node_numer),
-                inv_denom: SharedMut::new(inv_denom),
-                conn: SharedMut::new(conn),
-                theta,
-                scaled: [scaled_a, scaled_b]
-                    .map(|s| [SharedMut::new(&mut s.dec), SharedMut::new(&mut s.conn)]),
-            },
-            teleport,
-            &config,
-            partitions.len(),
-        );
-
-        let pool = pool
-            .as_ref()
-            .expect("multi-partition engines own a worker pool");
-        debug_assert_eq!(pool.workers(), partitions.len());
-        let mut results = Vec::with_capacity(models.len());
-        // No threads are spawned here: the engine's persistent pool is
-        // released into `worker_loop` for this sweep and parks again when
-        // the driver broadcasts shutdown.
-        let job = |w: usize| worker_loop(w, partitions[w].clone(), &shared);
-        pool.run(&job, || {
-            // Main thread: drive the sweep. Workers are parked on the start
-            // barrier between phases, so mutating shared buffers here is
-            // sound.
-            let fshared = &shared.tables;
-            for (pi, &model) in models.iter().enumerate() {
-                // Operator update, in place, while workers are parked.
-                // `solve_model`/`solve` arrive with the operator already
-                // loaded by `set_model`; don't rebuild it for that point.
-                if !(pi == 0 && *current_model == Some(model)) {
-                    // SAFETY: workers are parked on the `start` barrier,
-                    // so the main thread is the only accessor of the
-                    // tables.
-                    unsafe {
-                        fill_tables(
-                            graph,
-                            theta,
-                            log_theta,
-                            model,
-                            fshared.numer.slice_mut(),
-                            fshared.inv_denom.slice_mut(),
-                            fshared.conn.slice_mut(),
-                        );
-                    }
-                }
-                *current_model = Some(model);
-
-                let flip = shared.flip.load(Ordering::Relaxed);
-                if pi > 0 && !warm_start {
-                    // SAFETY: workers are parked; main thread owns the bufs.
-                    let rank_buf = unsafe { shared.bufs[flip].slice_mut() };
-                    match teleport {
-                        Some(t) => rank_buf.copy_from_slice(t),
-                        None => rank_buf.fill(uniform),
-                    }
-                }
-                // The source factors changed with the model, so the scaled
-                // iterate must be rebuilt even on warm starts.
-                // SAFETY: workers are parked; main thread owns the bufs and
-                // exclusive access to params.
-                unsafe {
-                    let [dec, conn] = &fshared.scaled[flip];
-                    scale_into(
-                        &fshared.op(model.beta()),
-                        shared.bufs[flip].slice(),
-                        dec.slice_mut(),
-                        conn.slice_mut(),
-                    );
-                    (*shared.params.get()).beta = model.beta();
-                }
-                let (iterations, residual) = drive_pooled_point(&shared, &config, &topo);
-                let flip = shared.flip.load(Ordering::Relaxed);
-                // SAFETY: workers are parked; main thread owns the bufs.
-                let scores = unsafe { shared.bufs[flip].slice() }.to_vec();
-                results.push(PageRankResult {
-                    scores,
-                    iterations,
-                    residual,
-                    converged: residual < config.tolerance,
-                });
-            }
-
-            shared.shutdown();
-        });
-
-        // `rank`/`next` were mutated through the shared slices (their
-        // lengths never changed), and may hold either iterate depending on
-        // the final flip — fine, the workspace only promises reusable
-        // capacity between solves.
         Ok(results)
     }
 }
@@ -1654,37 +1342,6 @@ fn deliver_scores(result: &mut PageRankResult, out: Option<&mut Vec<f64>>) {
     if let Some(o) = out {
         *o = std::mem::take(&mut result.scores);
     }
-}
-
-/// Owner map of the arc-balanced partition: `owner[v]` = index of the
-/// range containing destination `v`. Empty when there is at most one
-/// partition (nothing to route).
-fn owner_map(partitions: &[Range<usize>], n: usize) -> Vec<u32> {
-    if partitions.len() <= 1 {
-        return Vec::new();
-    }
-    let mut owner = vec![0u32; n];
-    for (w, range) in partitions.iter().enumerate() {
-        owner[range.clone()].fill(w as u32);
-    }
-    owner
-}
-
-/// Owner map of the frontier-parallel residual drain: contiguous node
-/// spans balanced by **out**-degree (the CSR offsets *are* the out-degree
-/// prefix sums, so the same splitter the sweep uses on the CSC side
-/// applies directly). Settling a frontier node costs `O(out-degree)`, so
-/// this is the partition that equalizes per-sub-round settle work; the
-/// sweep's in-arc partition ([`owner_map`]) systematically misassigns it
-/// on graphs whose in- and out-degree distributions differ. Empty when
-/// there is at most one worker.
-fn push_owner_map(graph: &CsrGraph, workers: usize) -> Vec<u32> {
-    if workers <= 1 {
-        return Vec::new();
-    }
-    let (offsets, _, _) = graph.parts();
-    let spans = d2pr_graph::transpose::arc_balanced_partition(offsets, workers);
-    owner_map(&spans, graph.num_nodes())
 }
 
 /// `|p|·ln Θ` at which the degree term's `Θ^(−p)` leaves `exp`'s safe
@@ -1828,8 +1485,8 @@ impl FactoredOp<'_> {
 
 /// An iterate scaled by the operator's source factors — `dec[i] =
 /// x_i·inv_denom[i]` and `conn[i] = x_i·conn[i]` — so a pull gathers one
-/// value per arc and term. Serial solves keep the vector of a term that
-/// does not run empty.
+/// value per arc and term. The vector of a term that does not run stays
+/// empty.
 #[derive(Debug, Clone, Default)]
 struct Scaled {
     dec: Vec<f64>,
@@ -1842,38 +1499,27 @@ impl Scaled {
         let n = rank.len();
         self.dec.resize(if op.degree_term() { n } else { 0 }, 0.0);
         self.conn.resize(if op.conn_term() { n } else { 0 }, 0.0);
-        scale_into(op, rank, &mut self.dec, &mut self.conn);
-    }
-}
-
-/// Write `rank` scaled by the source factors of the terms `op` runs.
-fn scale_into(op: &FactoredOp<'_>, rank: &[f64], dec: &mut [f64], conn: &mut [f64]) {
-    if op.degree_term() {
-        for ((o, &r), &d) in dec.iter_mut().zip(rank).zip(op.inv_denom) {
+        for ((o, &r), &d) in self.dec.iter_mut().zip(rank).zip(op.inv_denom) {
             *o = r * d;
         }
-    }
-    if op.conn_term() {
-        for ((o, &r), &c) in conn.iter_mut().zip(rank).zip(op.conn) {
+        for ((o, &r), &c) in self.conn.iter_mut().zip(rank).zip(op.conn) {
             *o = r * c;
         }
     }
 }
 
-/// Per-iteration parameters broadcast to workers.
+/// Per-iteration parameters of the pull.
 #[derive(Debug, Clone, Copy)]
 struct PullParams {
     alpha: f64,
     uniform: f64,
     policy: DanglingPolicy,
     dangling_mass: f64,
-    /// Blend weight of the current point (which terms run).
-    beta: f64,
 }
 
-/// Partial aggregates a worker reports for its destination range.
+/// Aggregates one pull reports over the whole iterate.
 #[derive(Debug, Clone, Copy, Default)]
-struct RangeOut {
+struct PullOut {
     residual: f64,
     dangling_next: f64,
     sum_next: f64,
@@ -1883,21 +1529,18 @@ struct RangeOut {
     dot_oo: f64,
 }
 
-/// The pull kernel over one destination range: `next[j] = (1−α)·t_j +
-/// policy-term + α·Σ_{i→j} T[j,i]·rank[i]`, gathered per term from the
-/// scaled iterate (`α·numer[j]·Σ dec[i]` plus `α·Σ w(i→j)·conn[i]`).
-/// `next` and the scaled `next_dec`/`next_conn` are the sub-slices for
-/// `range` only — disjoint between workers; all other inputs are shared
-/// reads. For `Renormalize`, the residual is computed later by
-/// [`scale_range`].
+/// The pull kernel: `next[j] = (1−α)·t_j + policy-term + α·Σ_{i→j}
+/// T[j,i]·rank[i]` for every destination `j`, gathered per term from the
+/// scaled iterate (`α·numer[j]·Σ dec[i]` plus `α·Σ w(i→j)·conn[i]`), with
+/// the scaled `next_dec`/`next_conn` written alongside. For
+/// `Renormalize`, the residual is computed later by [`renormalize`].
 ///
 /// The terms that run are picked here, once per call: each combination
 /// is its own monomorphized loop, so `β = 0` runs exactly the plain
 /// degree-term loop and `β = 1` only the connection gather.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn pull_range(
-    range: Range<usize>,
+fn pull(
     topo: &PullTopo<'_>,
     op: &FactoredOp<'_>,
     teleport: Option<&[f64]>,
@@ -1906,18 +1549,8 @@ fn pull_range(
     next: &mut [f64],
     next_scaled: (&mut [f64], &mut [f64]),
     params: &PullParams,
-) -> RangeOut {
-    let args = (
-        range,
-        topo,
-        op,
-        teleport,
-        rank,
-        scaled,
-        next,
-        next_scaled,
-        params,
-    );
+) -> PullOut {
+    let args = (topo, op, teleport, rank, scaled, next, next_scaled, params);
     match (op.degree_term(), op.conn_term(), topo.in_weights.is_some()) {
         (true, false, _) => pull_terms::<true, false, false>(args),
         (false, true, false) => pull_terms::<false, true, false>(args),
@@ -1928,9 +1561,8 @@ fn pull_range(
     }
 }
 
-/// Arguments of [`pull_range`], forwarded as one tuple.
+/// Arguments of [`pull`], forwarded as one tuple.
 type PullArgs<'a, 'b> = (
-    Range<usize>,
     &'b PullTopo<'a>,
     &'b FactoredOp<'a>,
     Option<&'b [f64]>,
@@ -1967,14 +1599,14 @@ fn row_sum<const D: bool, const C: bool, const W: bool>(
     sum
 }
 
-/// The body of [`pull_range`] for one combination of terms. The fast path
-/// `P` is picked here, once per call too: no dangling nodes (every policy
+/// The body of [`pull`] for one combination of terms. The fast path `P`
+/// is picked here, once per call too: no dangling nodes (every policy
 /// degenerates to the plain update) and uniform teleportation, so the base
 /// term is one constant for the whole iteration and all per-destination
 /// policy bookkeeping disappears.
 #[inline]
-fn pull_terms<const D: bool, const C: bool, const W: bool>(args: PullArgs<'_, '_>) -> RangeOut {
-    let (_, topo, _, teleport, .., params) = &args;
+fn pull_terms<const D: bool, const C: bool, const W: bool>(args: PullArgs<'_, '_>) -> PullOut {
+    let (topo, _, teleport, .., params) = &args;
     if topo.dangling_nodes.is_empty()
         && teleport.is_none()
         && params.policy != DanglingPolicy::Renormalize
@@ -1989,8 +1621,8 @@ fn pull_terms<const D: bool, const C: bool, const W: bool>(args: PullArgs<'_, '_
 #[inline]
 fn pull_loop<const D: bool, const C: bool, const W: bool, const P: bool>(
     args: PullArgs<'_, '_>,
-) -> RangeOut {
-    let (range, topo, op, teleport, rank, scaled, next, (next_dec, next_conn), params) = args;
+) -> PullOut {
+    let (topo, op, teleport, rank, scaled, next, (next_dec, next_conn), params) = args;
     let alpha = params.alpha;
     // The teleport coefficient is constant across the range: `(1−α)` plus,
     // under RedistributeTeleport, the dangling mass folded in.
@@ -2000,10 +1632,8 @@ fn pull_loop<const D: bool, const C: bool, const W: bool, const P: bool>(
     };
     let plain_base = tele_coef * params.uniform;
     let self_loop = params.policy == DanglingPolicy::SelfLoop;
-    let mut out = RangeOut::default();
-    let base_start = range.start;
-    for j in range {
-        let k = j - base_start;
+    let mut out = PullOut::default();
+    for j in 0..rank.len() {
         let base = if P {
             plain_base
         } else {
@@ -2015,15 +1645,15 @@ fn pull_loop<const D: bool, const C: bool, const W: bool, const P: bool>(
         };
         let val = base + row_sum::<D, C, W>(topo, op, scaled, alpha, j);
         if D {
-            next_dec[k] = val * op.inv_denom[j];
+            next_dec[j] = val * op.inv_denom[j];
         }
         if C {
-            next_conn[k] = val * op.conn[j];
+            next_conn[j] = val * op.conn[j];
         }
         // The write buffer still holds x_{k−1}: accumulate the step dot
         // products the extrapolation uses to estimate the *signed*
         // contraction ratio (the residual alone cannot see oscillation).
-        let d_old = rank[j] - next[k];
+        let d_old = rank[j] - next[j];
         let d_new = val - rank[j];
         out.dot_dd += d_new * d_old;
         out.dot_oo += d_old * d_old;
@@ -2034,35 +1664,31 @@ fn pull_loop<const D: bool, const C: bool, const W: bool, const P: bool>(
                 out.dangling_next += val;
             }
         }
-        next[k] = val;
+        next[j] = val;
     }
     out
 }
 
 /// Renormalize phase for [`DanglingPolicy::Renormalize`]: scale the new
-/// iterate by `inv_total` and compute the residual against the (already
+/// iterate by `inv_total` and return the residual against the (already
 /// normalized) previous iterate. The scaled copies (empty for a term that
 /// does not run) are kept proportional.
 #[inline]
-fn scale_range(
-    range: Range<usize>,
+fn renormalize(
     rank: &[f64],
     next: &mut [f64],
     next_scaled: (&mut [f64], &mut [f64]),
     inv_total: f64,
-) -> RangeOut {
-    let mut out = RangeOut::default();
-    let base_start = range.start;
+) -> f64 {
     for x in next_scaled.0.iter_mut().chain(next_scaled.1.iter_mut()) {
         *x *= inv_total;
     }
-    for j in range {
-        let val = next[j - base_start] * inv_total;
-        next[j - base_start] = val;
-        out.residual += (val - rank[j]).abs();
-        out.sum_next += val;
+    let mut residual = 0.0;
+    for (x, &r) in next.iter_mut().zip(rank) {
+        *x *= inv_total;
+        residual += (*x - r).abs();
     }
-    out
+    residual
 }
 
 /// Aitken-style acceleration: when two successive *signed* step ratios
@@ -2118,7 +1744,6 @@ fn drive_serial(
         uniform,
         policy: config.dangling,
         dangling_mass: mass_at(topo.dangling_nodes, rank),
-        beta: op.beta,
     };
     let mut iterations = 0;
     let mut residual = f64::INFINITY;
@@ -2127,8 +1752,7 @@ fn drive_serial(
     while iterations < config.max_iterations {
         iterations += 1;
         sim_event("engine.iter", iterations);
-        let out = pull_range(
-            0..n,
+        let out = pull(
             topo,
             op,
             teleport,
@@ -2145,8 +1769,7 @@ fn drive_serial(
                 1.0
             };
             let next_scaled = (&mut scaled_next.dec[..], &mut scaled_next.conn[..]);
-            let scaled = scale_range(0..n, rank, next, next_scaled, inv_total);
-            residual = scaled.residual;
+            residual = renormalize(rank, next, next_scaled, inv_total);
             // Scaling is linear, so the dangling partial scales with it.
             params.dangling_mass = out.dangling_next * inv_total;
         } else {
@@ -2182,274 +1805,6 @@ fn drive_serial(
         }
     }
     (iterations, residual)
-}
-
-/// Work item broadcast to parked workers at each start barrier.
-#[repr(u8)]
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Phase {
-    Compute = 0,
-    Scale = 1,
-    Exit = 2,
-}
-
-/// Shared operator tables (see [`FactoredOp`]).
-#[derive(Debug)]
-struct FactoredShared<'a> {
-    /// Degree-term factors (rewritten between grid points).
-    numer: SharedMut<f64>,
-    inv_denom: SharedMut<f64>,
-    /// Connection-term factors (rewritten between grid points).
-    conn: SharedMut<f64>,
-    theta: &'a [f64],
-    /// Scaled-iterate ping-pong pair (`[dec, conn]` each, see [`Scaled`]),
-    /// flipped with the rank buffers.
-    scaled: [[SharedMut<f64>; 2]; 2],
-}
-
-impl FactoredShared<'_> {
-    /// The operator at blend weight `beta`.
-    ///
-    /// # Safety
-    /// No thread may write the tables while the result is alive: the main
-    /// thread rewrites them only while the workers are parked.
-    unsafe fn op(&self, beta: f64) -> FactoredOp<'_> {
-        // SAFETY: the caller guarantees no concurrent writes.
-        unsafe {
-            FactoredOp {
-                numer: self.numer.slice(),
-                inv_denom: self.inv_denom.slice(),
-                conn: self.conn.slice(),
-                theta: self.theta,
-                beta,
-            }
-        }
-    }
-}
-
-/// Everything the pooled workers share.
-struct PoolShared<'a> {
-    topo: PullTopo<'a>,
-    teleport: Option<&'a [f64]>,
-    bufs: [SharedMut<f64>; 2],
-    tables: FactoredShared<'a>,
-    flip: AtomicUsize,
-    phase: AtomicU8,
-    params: UnsafeCell<PullParams>,
-    inv_total: UnsafeCell<f64>,
-    partials: Vec<PadCell<RangeOut>>,
-    start: ExecBarrier,
-    end: ExecBarrier,
-}
-
-// SAFETY: all interior-mutable fields follow the barrier-phase protocol
-// described on `crate::pool::SharedMut`/`PadCell`; the rest are shared
-// immutable borrows.
-unsafe impl Sync for PoolShared<'_> {}
-
-impl<'a> PoolShared<'a> {
-    fn new(
-        topo: &PullTopo<'a>,
-        bufs: [SharedMut<f64>; 2],
-        tables: FactoredShared<'a>,
-        teleport: Option<&'a [f64]>,
-        config: &PageRankConfig,
-        workers: usize,
-    ) -> Self {
-        let n = bufs[0].len();
-        Self {
-            topo: *topo,
-            teleport,
-            bufs,
-            tables,
-            flip: AtomicUsize::new(0),
-            phase: AtomicU8::new(Phase::Compute as u8),
-            params: UnsafeCell::new(PullParams {
-                alpha: config.alpha,
-                uniform: 1.0 / n.max(1) as f64,
-                policy: config.dangling,
-                dangling_mass: 0.0,
-                beta: 0.0,
-            }),
-            inv_total: UnsafeCell::new(1.0),
-            partials: (0..workers).map(|_| PadCell::default()).collect(),
-            start: ExecBarrier::new(workers + 1),
-            end: ExecBarrier::new(workers + 1),
-        }
-    }
-
-    /// Release parked workers into exit. Must be called exactly once, after
-    /// the last [`drive_pooled_point`].
-    fn shutdown(&self) {
-        self.phase.store(Phase::Exit as u8, Ordering::Release);
-        self.start.wait();
-    }
-
-    fn sum_partials(&self) -> RangeOut {
-        let mut total = RangeOut::default();
-        for cell in &self.partials {
-            // SAFETY: workers are parked between barriers when this runs.
-            let p = unsafe { *cell.0.get() };
-            total.residual += p.residual;
-            total.dangling_next += p.dangling_next;
-            total.sum_next += p.sum_next;
-            total.dot_dd += p.dot_dd;
-            total.dot_oo += p.dot_oo;
-        }
-        total
-    }
-}
-
-/// Drive the iteration loop for one grid point on an already-running pool.
-/// The rank buffer (`bufs[flip]`) must hold the initial iterate; on return
-/// it holds the final scores. Returns `(iterations, residual)`.
-fn drive_pooled_point(
-    shared: &PoolShared<'_>,
-    config: &PageRankConfig,
-    topo: &PullTopo<'_>,
-) -> (usize, f64) {
-    let flip = shared.flip.load(Ordering::Relaxed);
-    // SAFETY: workers are parked; reading the rank buffer is exclusive here.
-    let rank_now = unsafe { shared.bufs[flip].slice() };
-    let mut dangling_mass = mass_at(topo.dangling_nodes, rank_now);
-
-    let mut iterations = 0;
-    let mut residual = f64::INFINITY;
-    let mut prev_q = f64::NAN;
-    let mut cooldown = 0usize;
-    while iterations < config.max_iterations {
-        iterations += 1;
-        sim_event("engine.iter", iterations);
-        // SAFETY: workers parked; exclusive access to params.
-        unsafe { (*shared.params.get()).dangling_mass = dangling_mass };
-        shared.phase.store(Phase::Compute as u8, Ordering::Release);
-        shared.start.wait();
-        shared.end.wait();
-
-        let mut out = shared.sum_partials();
-        if config.dangling == DanglingPolicy::Renormalize {
-            let inv_total = if out.sum_next > 0.0 {
-                1.0 / out.sum_next
-            } else {
-                1.0
-            };
-            // SAFETY: workers parked between the end/start barriers.
-            unsafe { *shared.inv_total.get() = inv_total };
-            shared.phase.store(Phase::Scale as u8, Ordering::Release);
-            shared.start.wait();
-            shared.end.wait();
-            let scaled = shared.sum_partials();
-            residual = scaled.residual;
-            dangling_mass = scaled.dangling_next;
-            out.dot_oo = 0.0; // extrapolation is disabled for Renormalize
-        } else {
-            residual = out.residual;
-            dangling_mass = out.dangling_next;
-        }
-        let flip = shared.flip.fetch_xor(1, Ordering::AcqRel) ^ 1;
-        if residual < config.tolerance {
-            break;
-        }
-        // See `extrapolation_factor`: same acceleration as the serial
-        // driver, performed by the main thread while workers are parked.
-        let q = if out.dot_oo > 0.0 {
-            out.dot_dd / out.dot_oo
-        } else {
-            0.0
-        };
-        if config.dangling != DanglingPolicy::Renormalize && cooldown == 0 {
-            if let Some(f) = extrapolation_factor(prev_q, q) {
-                // SAFETY: workers are parked; main thread owns the bufs.
-                unsafe {
-                    let rank = shared.bufs[flip].slice_mut();
-                    let old = shared.bufs[flip ^ 1].slice();
-                    for (r, &o) in rank.iter_mut().zip(old) {
-                        *r += (*r - o) * f;
-                    }
-                    let fs = &shared.tables;
-                    let [dec, conn] = &fs.scaled[flip];
-                    scale_into(
-                        &fs.op((*shared.params.get()).beta),
-                        rank,
-                        dec.slice_mut(),
-                        conn.slice_mut(),
-                    );
-                    dangling_mass = mass_at(topo.dangling_nodes, rank);
-                }
-                cooldown = EXTRAPOLATION_COOLDOWN;
-                prev_q = f64::NAN;
-                continue;
-            }
-            prev_q = q;
-        } else {
-            cooldown = cooldown.saturating_sub(1);
-            prev_q = q;
-        }
-    }
-    (iterations, residual)
-}
-
-/// Body of one pooled worker: park on the start barrier, run the requested
-/// phase over the assigned destination range, report partials, park on the
-/// end barrier. Lives until the main thread broadcasts [`Phase::Exit`].
-fn worker_loop(w: usize, range: Range<usize>, shared: &PoolShared<'_>) {
-    loop {
-        shared.start.wait();
-        let phase = shared.phase.load(Ordering::Acquire);
-        if phase == Phase::Exit as u8 {
-            return;
-        }
-        let flip = shared.flip.load(Ordering::Acquire);
-        // SAFETY: the main thread writes the parameters only while the
-        // workers are parked; the start barrier published them.
-        let params = unsafe { *shared.params.get() };
-        let f = &shared.tables;
-        let [next_dec, next_conn] = &f.scaled[flip ^ 1];
-        // SAFETY: during a phase the read buffers (and the operator
-        // tables) are only read, by every worker, and each worker writes
-        // disjoint windows of the write buffers.
-        let (rank, next, next_scaled) = unsafe {
-            (
-                shared.bufs[flip].slice(),
-                shared.bufs[flip ^ 1].range_mut(range.clone()),
-                (
-                    next_dec.range_mut(range.clone()),
-                    next_conn.range_mut(range.clone()),
-                ),
-            )
-        };
-        let out = if phase == Phase::Compute as u8 {
-            let [dec, conn] = &f.scaled[flip];
-            // SAFETY: as above.
-            let (op, scaled) = unsafe { (f.op(params.beta), (dec.slice(), conn.slice())) };
-            pull_range(
-                range.clone(),
-                &shared.topo,
-                &op,
-                shared.teleport,
-                rank,
-                scaled,
-                next,
-                next_scaled,
-                &params,
-            )
-        } else {
-            // Scale phase (Renormalize policy).
-            // SAFETY: written by the main thread while the workers were
-            // parked, like the parameters.
-            let inv_total = unsafe { *shared.inv_total.get() };
-            let mut out = scale_range(range.clone(), rank, next, next_scaled, inv_total);
-            // Dangling mass scales linearly; reuse the compute-phase
-            // partial rather than re-testing every node.
-            // SAFETY: cell `w` is accessed only by worker `w` during a phase.
-            let prev = unsafe { (*shared.partials[w].0.get()).dangling_next };
-            out.dangling_next = prev * inv_total;
-            out
-        };
-        // SAFETY: cell `w` is written only by worker `w`.
-        unsafe { *shared.partials[w].0.get() = out };
-        shared.end.wait();
-    }
 }
 
 #[cfg(test)]
@@ -2488,11 +1843,9 @@ mod tests {
                 ..Default::default()
             };
             let serial = pagerank(&g, TransitionModel::Standard, &cfg);
-            for threads in [1, 3, 8] {
-                let mut engine = Engine::with_threads(&g, threads).with_config(cfg).unwrap();
-                let r = engine.solve_model(TransitionModel::Standard).unwrap();
-                assert_close(&serial.scores, &r.scores, 1e-8);
-            }
+            let mut engine = Engine::new(&g).with_config(cfg).unwrap();
+            let r = engine.solve_model(TransitionModel::Standard).unwrap();
+            assert_close(&serial.scores, &r.scores, 1e-8);
         }
     }
 
@@ -2500,7 +1853,7 @@ mod tests {
     fn engine_matches_serial_decoupled() {
         let g = barabasi_albert(150, 3, 5).unwrap();
         let cfg = PageRankConfig::default();
-        let mut engine = Engine::with_threads(&g, 4);
+        let mut engine = Engine::new(&g);
         for &p in &[-2.0, 0.0, 0.5, 4.0] {
             let model = TransitionModel::DegreeDecoupled { p };
             let serial = pagerank(&g, model, &cfg);
@@ -2522,7 +1875,7 @@ mod tests {
         seed_only[7] = 1.0;
         for t in [weighted, seed_only] {
             let serial = pagerank_with_matrix(&g, &matrix, &PageRankConfig::default(), Some(&t));
-            let mut engine = Engine::with_threads(&g, 3);
+            let mut engine = Engine::new(&g);
             engine.set_model(TransitionModel::Standard).unwrap();
             let r = engine.solve_with_teleport(Some(&t)).unwrap();
             assert_close(&serial.scores, &r.scores, 1e-8);
@@ -2537,7 +1890,7 @@ mod tests {
             .iter()
             .map(|&p| TransitionModel::DegreeDecoupled { p })
             .collect();
-        let mut engine = Engine::with_threads(&g, 4);
+        let mut engine = Engine::new(&g);
         let cold = engine.sweep(&models, false).unwrap();
         let warm = engine.sweep(&models, true).unwrap();
         assert_eq!(cold.len(), 5);
@@ -2559,32 +1912,28 @@ mod tests {
     #[test]
     fn errors_are_typed_not_panics() {
         let g = erdos_renyi_nm(10, 30, 1).unwrap();
-        // Serial and pooled engines reject bad input alike.
-        for threads in [1, 4] {
-            let mut engine = Engine::with_threads(&g, threads);
-            assert_eq!(engine.pool.is_some(), threads > 1);
-            assert!(matches!(engine.solve(), Err(SolverError::InvalidModel(_))));
-            assert!(matches!(
-                engine.set_model(TransitionModel::Blended { p: 0.0, beta: 2.0 }),
-                Err(SolverError::InvalidModel(_))
-            ));
-            engine.set_model(TransitionModel::Standard).unwrap();
-            assert!(matches!(
-                engine.solve_with_teleport(Some(&[1.0])),
-                Err(SolverError::TeleportLength {
-                    got: 1,
-                    expected: 10
-                })
-            ));
-            assert!(matches!(
-                engine.solve_with_teleport(Some(&[0.0; 10])),
-                Err(SolverError::TeleportMass)
-            ));
-            assert!(matches!(
-                engine.solve_with_teleport(Some(&[-1.0; 10])),
-                Err(SolverError::TeleportEntry(_))
-            ));
-        }
+        let mut engine = Engine::new(&g);
+        assert!(matches!(engine.solve(), Err(SolverError::InvalidModel(_))));
+        assert!(matches!(
+            engine.set_model(TransitionModel::Blended { p: 0.0, beta: 2.0 }),
+            Err(SolverError::InvalidModel(_))
+        ));
+        engine.set_model(TransitionModel::Standard).unwrap();
+        assert!(matches!(
+            engine.solve_with_teleport(Some(&[1.0])),
+            Err(SolverError::TeleportLength {
+                got: 1,
+                expected: 10
+            })
+        ));
+        assert!(matches!(
+            engine.solve_with_teleport(Some(&[0.0; 10])),
+            Err(SolverError::TeleportMass)
+        ));
+        assert!(matches!(
+            engine.solve_with_teleport(Some(&[-1.0; 10])),
+            Err(SolverError::TeleportEntry(_))
+        ));
         assert!(matches!(
             Engine::new(&g).set_config(PageRankConfig {
                 alpha: 1.0,
@@ -2606,20 +1955,12 @@ mod tests {
     }
 
     #[test]
-    fn more_threads_than_nodes() {
-        let g = erdos_renyi_nm(5, 12, 2).unwrap();
-        let mut engine = Engine::with_threads(&g, 64);
-        let r = engine.solve_model(TransitionModel::Standard).unwrap();
-        assert!((r.scores.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn degree_term_matches_oracle_and_rejects_extreme_p() {
         // The factored degree term reaches the oracle's (log-sum-exp)
         // fixed points across the paper's grid ...
         let g = barabasi_albert(120, 4, 6).unwrap();
         let cfg = PageRankConfig::default();
-        let mut engine = Engine::with_threads(&g, 2);
+        let mut engine = Engine::new(&g);
         for &p in &[-4.0, -0.5, 0.0, 2.0, 4.0] {
             let model = TransitionModel::DegreeDecoupled { p };
             let serial = pagerank(&g, model, &cfg);
@@ -2657,20 +1998,20 @@ mod tests {
         let g2 = barabasi_albert(81, 3, 4).unwrap();
         let csc = Arc::new(CscStructure::build(&g));
         assert!(matches!(
-            Engine::with_structure(&g2, Arc::clone(&csc), 2),
+            Engine::with_structure(&g2, Arc::clone(&csc)),
             Err(SolverError::StructureMismatch { .. })
         ));
-        let mut a = Engine::with_structure(&g, Arc::clone(&csc), 2).unwrap();
+        let mut a = Engine::with_structure(&g, Arc::clone(&csc)).unwrap();
         // Sharing is by reference: the engine holds the same allocation.
         assert!(Arc::ptr_eq(&a.shared_structure(), &csc));
-        let mut b = Engine::with_threads(&g, 2);
+        let mut b = Engine::new(&g);
         let model = TransitionModel::DegreeDecoupled { p: 1.0 };
         let ra = a.solve_model(model).unwrap();
         let rb = b.solve_model(model).unwrap();
         assert_close(&ra.scores, &rb.scores, 1e-15);
         // A second engine over the same shared structure agrees bit-for-bit
         // and still points at the one transpose.
-        let mut c = Engine::with_structure(&g, a.shared_structure(), 3).unwrap();
+        let mut c = Engine::with_structure(&g, a.shared_structure()).unwrap();
         let rc = c.solve_model(model).unwrap();
         assert_close(&ra.scores, &rc.scores, 1e-15);
         assert!(Arc::ptr_eq(&c.shared_structure(), &csc));
@@ -2683,7 +2024,7 @@ mod tests {
         t[5] = 3.0;
         t[9] = 1.0;
         let model = TransitionModel::DegreeDecoupled { p: 0.5 };
-        let mut engine = Engine::with_threads(&g, 3);
+        let mut engine = Engine::new(&g);
         engine.set_model(model).unwrap();
         let served = engine.solve_with_teleport(Some(&t)).unwrap();
         // Warm re-solve with the same teleport reproduces the personalized
@@ -2706,53 +2047,51 @@ mod tests {
         use d2pr_graph::delta::{DeltaGraph, EdgeBatch};
         let g = barabasi_albert(400, 4, 13).unwrap();
         let model = TransitionModel::DegreeDecoupled { p: 0.5 };
-        for threads in [1, 4] {
-            let mut engine = Engine::with_threads(&g, threads);
-            engine.set_model(model).unwrap();
-            let before = engine.solve().unwrap();
+        let mut engine = Engine::new(&g);
+        engine.set_model(model).unwrap();
+        let before = engine.solve().unwrap();
 
-            // A small churn batch: delete two edges, insert two.
-            let mut dg = DeltaGraph::new(g.clone()).unwrap();
-            let mut batch = EdgeBatch::new();
-            batch.delete(0, g.neighbors(0)[0]);
-            batch.delete(1, g.neighbors(1)[0]);
-            batch.insert(2, 399);
-            batch.insert(3, 398);
-            let out = dg.apply_batch(&batch).unwrap();
-            let g2 = dg.snapshot();
-            let csc2 = Arc::new(engine.csc().patched(&g2, &out.delta).unwrap());
+        // A small churn batch: delete two edges, insert two.
+        let mut dg = DeltaGraph::new(g.clone()).unwrap();
+        let mut batch = EdgeBatch::new();
+        batch.delete(0, g.neighbors(0)[0]);
+        batch.delete(1, g.neighbors(1)[0]);
+        batch.insert(2, 399);
+        batch.insert(3, 398);
+        let out = dg.apply_batch(&batch).unwrap();
+        let g2 = dg.snapshot();
+        let csc2 = Arc::new(engine.csc().patched(&g2, &out.delta).unwrap());
 
-            let mut engine2 = Engine::with_structure(&g2, csc2, threads).unwrap();
-            engine2.set_model(model).unwrap();
-            let warm = engine2.resolve_warm(&before.scores).unwrap();
-            let cold = engine2.solve().unwrap();
-            assert_close(&cold.scores, &warm.scores, 1e-8);
-            assert!(
-                warm.iterations <= cold.iterations,
-                "warm {} vs cold {}",
-                warm.iterations,
-                cold.iterations
-            );
-            // The localized entry point must land on the same fixed point
-            // whichever strategy it ends up running (on a graph this small
-            // at the default 1e-10 tolerance the push hands its tail to
-            // the sweep finisher — the hybrid mode).
-            let local = engine2
-                .resolve_localized(&before.scores, &out.delta)
-                .unwrap();
-            assert!(matches!(
-                local.mode,
-                ResolveMode::LocalizedPush | ResolveMode::HybridPushSweep
-            ));
-            assert!(local.result.converged);
-            assert!(local.frontier > 0 && local.pushes > 0);
-            assert_close(&cold.scores, &local.result.scores, 1e-7);
-            // The auto mode also matches, whatever it selects.
-            let auto = engine2
-                .resolve_incremental(&before.scores, &out.delta)
-                .unwrap();
-            assert_close(&cold.scores, &auto.result.scores, 1e-7);
-        }
+        let mut engine2 = Engine::with_structure(&g2, csc2).unwrap();
+        engine2.set_model(model).unwrap();
+        let warm = engine2.resolve_warm(&before.scores).unwrap();
+        let cold = engine2.solve().unwrap();
+        assert_close(&cold.scores, &warm.scores, 1e-8);
+        assert!(
+            warm.iterations <= cold.iterations,
+            "warm {} vs cold {}",
+            warm.iterations,
+            cold.iterations
+        );
+        // The localized entry point must land on the same fixed point
+        // whichever strategy it ends up running (on a graph this small
+        // at the default 1e-10 tolerance the push hands its tail to
+        // the sweep finisher — the hybrid mode).
+        let local = engine2
+            .resolve_localized(&before.scores, &out.delta)
+            .unwrap();
+        assert!(matches!(
+            local.mode,
+            ResolveMode::LocalizedPush | ResolveMode::HybridPushSweep
+        ));
+        assert!(local.result.converged);
+        assert!(local.frontier > 0 && local.pushes > 0);
+        assert_close(&cold.scores, &local.result.scores, 1e-7);
+        // The auto mode also matches, whatever it selects.
+        let auto = engine2
+            .resolve_incremental(&before.scores, &out.delta)
+            .unwrap();
+        assert_close(&cold.scores, &auto.result.scores, 1e-7);
     }
 
     #[test]
@@ -2816,64 +2155,6 @@ mod tests {
     }
 
     #[test]
-    fn push_owner_map_balances_settle_work() {
-        // Out-degree lives in the last tenth of the node ids while
-        // in-degree spreads nearly uniformly: the sweep's in-arc-balanced
-        // partition then degenerates to near node-count ranges and parks
-        // almost all push (settle) work — which is out-degree-proportional
-        // — on the single worker owning the hub ids. The out-degree-span
-        // owner map the drain now uses equalizes the per-round settle
-        // work (the ROADMAP follow-up this fixes).
-        let n: u32 = 4_000;
-        let mut b = GraphBuilder::new(Direction::Directed, n as usize);
-        for v in 0..n {
-            if v >= n - n / 10 {
-                for j in 0..40u32 {
-                    let mut t = v.wrapping_mul(31).wrapping_add(j * 97) % n;
-                    if t == v {
-                        t = (t + 1) % n;
-                    }
-                    b.add_edge(v, t);
-                }
-            } else if v % 4 == 0 {
-                b.add_edge(v, (v + 1) % n);
-            }
-        }
-        let g = b.build().unwrap();
-        let workers = 4;
-        let csc = CscStructure::build(&g);
-        let sweep_owner = owner_map(&csc.arc_balanced_partition(workers), g.num_nodes());
-        let push_owner = push_owner_map(&g, workers);
-        assert_eq!(push_owner.len(), g.num_nodes());
-        let settle_work = |owner: &[u32]| -> Vec<usize> {
-            let mut w = vec![0usize; workers];
-            for v in 0..g.num_nodes() as u32 {
-                w[owner[v as usize] as usize] += g.out_degree(v) as usize;
-            }
-            w
-        };
-        // Per-round imbalance proxy: a round's wall time is the slowest
-        // worker's settle work, so max/mean is the overhead factor the
-        // barrier pays.
-        let imbalance = |w: &[usize]| -> f64 {
-            let max = w.iter().copied().max().unwrap() as f64;
-            let mean = w.iter().sum::<usize>() as f64 / w.len() as f64;
-            max / mean.max(1.0)
-        };
-        let old = imbalance(&settle_work(&sweep_owner));
-        let new = imbalance(&settle_work(&push_owner));
-        assert!(
-            old > 2.0,
-            "the in-arc partition must exhibit the imbalance on this graph (got {old:.2})"
-        );
-        assert!(
-            new < 1.3,
-            "out-degree spans must level the settle work (got {new:.2})"
-        );
-        assert!(new < old, "imbalance must shrink: {new:.2} vs {old:.2}");
-    }
-
-    #[test]
     fn weighted_base_resolves_incrementally() {
         use d2pr_graph::delta::{DeltaGraph, EdgeBatch};
         let mut b = GraphBuilder::new(Direction::Directed, 5);
@@ -2890,7 +2171,7 @@ mod tests {
             TransitionModel::DegreeDecoupled { p: 0.5 },
             TransitionModel::Blended { beta: 0.5, p: 1.0 },
         ] {
-            let mut engine = Engine::with_threads(&g, 1);
+            let mut engine = Engine::new(&g);
             engine.set_model(model).unwrap();
             let served = engine.solve().unwrap().scores;
             // A weighted base now takes the full mutation path: weighted
@@ -2920,7 +2201,7 @@ mod tests {
         use d2pr_graph::delta::{DeltaGraph, EdgeBatch};
         let g = barabasi_albert(400, 4, 13).unwrap();
         let model = TransitionModel::DegreeDecoupled { p: 0.5 };
-        let mut engine = Engine::with_threads(&g, 1);
+        let mut engine = Engine::new(&g);
         engine.set_model(model).unwrap();
         let before = engine.solve().unwrap();
         let mut dg = DeltaGraph::new(g.clone()).unwrap();
@@ -2929,7 +2210,7 @@ mod tests {
         let outcome = dg.apply_batch(&batch).unwrap();
         let g2 = dg.snapshot();
         let csc2 = Arc::new(engine.csc().patched(&g2, &outcome.delta).unwrap());
-        let mut engine2 = Engine::with_structure(&g2, csc2, 1).unwrap();
+        let mut engine2 = Engine::with_structure(&g2, csc2).unwrap();
         engine2.set_model(model).unwrap();
         let mut buf = vec![0.0; 3]; // any previous contents are discarded
         let mut touched = TouchedSet::new();
@@ -2959,27 +2240,25 @@ mod tests {
         // β points match pointwise solves.
         let g = barabasi_albert(90, 3, 8).unwrap();
         let cfg = PageRankConfig::default();
-        for threads in [1, 4] {
-            let mut engine = Engine::with_threads(&g, threads);
-            let models = [
-                TransitionModel::DegreeDecoupled { p: 0.5 },
-                TransitionModel::DegreeDecoupled { p: 400.0 },
-            ];
-            assert!(matches!(
-                engine.sweep(&models, true),
-                Err(SolverError::InvalidModel(_))
-            ));
-            assert_eq!(engine.model(), None, "no point was loaded");
-            let models = [
-                TransitionModel::DegreeDecoupled { p: 0.5 },
-                TransitionModel::Blended { p: -1.0, beta: 0.5 },
-                TransitionModel::Standard,
-                TransitionModel::DegreeDecoupled { p: -1.0 },
-            ];
-            let results = engine.sweep(&models, true).unwrap();
-            for (&model, r) in models.iter().zip(&results) {
-                assert_close(&pagerank(&g, model, &cfg).scores, &r.scores, 1e-7);
-            }
+        let mut engine = Engine::new(&g);
+        let models = [
+            TransitionModel::DegreeDecoupled { p: 0.5 },
+            TransitionModel::DegreeDecoupled { p: 400.0 },
+        ];
+        assert!(matches!(
+            engine.sweep(&models, true),
+            Err(SolverError::InvalidModel(_))
+        ));
+        assert_eq!(engine.model(), None, "no point was loaded");
+        let models = [
+            TransitionModel::DegreeDecoupled { p: 0.5 },
+            TransitionModel::Blended { p: -1.0, beta: 0.5 },
+            TransitionModel::Standard,
+            TransitionModel::DegreeDecoupled { p: -1.0 },
+        ];
+        let results = engine.sweep(&models, true).unwrap();
+        for (&model, r) in models.iter().zip(&results) {
+            assert_close(&pagerank(&g, model, &cfg).scores, &r.scores, 1e-7);
         }
     }
 }

@@ -1,26 +1,22 @@
-//! Execution shim for the concurrency surface: real `std` primitives in
-//! production, scheduler-controlled ones under deterministic simulation.
+//! Execution shim for the concurrency surface: yield points that compile
+//! to nothing in production and become scheduling points under
+//! deterministic simulation.
 //!
-//! Every concurrency decision this crate makes — spawning a pool worker,
-//! parking on a barrier, spinning on a pin count — funnels through the
-//! tiny indirection layer in this module. In a normal build (feature
-//! `sim` off) the layer compiles down to the exact `std::sync::Barrier` /
-//! `std::thread::spawn` calls the code used before it existed, and the
-//! yield-point markers (`sim_event`) compile to nothing: the hot path
-//! pays zero cost. With feature `sim` enabled, a harness (the `d2pr-sim`
-//! crate) can install per-thread [`hooks::SimHooks`] that take over those
-//! decisions: barriers block inside the harness scheduler, spawned
-//! workers become cooperatively-stepped logical tasks, and every
-//! `sim_event` becomes a scheduling point where the harness may run any
-//! other task — which is what lets a single `u64` seed drive a
-//! reproducible interleaving of readers, writers, and pool workers.
+//! A solve runs on one thread, so the only concurrency this crate has is
+//! the serving protocol between one writer and any number of readers
+//! (pinning, draining, publishing). Every step of it is marked with a
+//! labelled yield point (`sim_event`, or [`yield_point`] for downstream
+//! crates). In a normal build (feature `sim` off) the markers compile to
+//! nothing: the hot path pays zero cost. With feature `sim` enabled, a
+//! harness (the `d2pr-sim` crate) can install per-thread
+//! [`hooks::SimHooks`]: every marker becomes a scheduling point where the
+//! harness may run any other task, and the harness spawns its logical
+//! tasks through [`hooks::SimHooks::spawn`] — which is what lets a single
+//! `u64` seed drive a reproducible interleaving of readers and writers.
 //!
 //! The hook is **thread-local**: code running on a thread without an
 //! installed hook (every production thread, even in a `sim`-enabled test
-//! build) takes the `std` path unconditionally. Mixing is sound because
-//! the choice is made per object at construction time — a barrier built
-//! on a hooked thread is a simulated barrier for *all* its participants
-//! (the harness spawns those participants itself).
+//! build) takes the `std` path unconditionally.
 //!
 //! # Yield-point placement
 //!
@@ -44,9 +40,8 @@
 //! | `serving.write.begin` | `PublishCore::begin_write` | returning the drained slot |
 //! | `serving.index.write` | `ServingEngine::ingest_with` | repairing/rebuilding the back slot's top-k index |
 //! | `serving.publish` | `PublishCore::publish` | the publication store sequence |
-//! | `pool.job.run` | `pool::worker_main` | one job execution on worker `arg` |
-//! | `engine.iter` | serial + pooled sweep drivers | one power iteration |
-//! | `residual.round` | serial + parallel drains | one threshold round |
+//! | `engine.iter` | `engine::drive_serial` | one power iteration |
+//! | `residual.round` | `residual::solve_localized` | one threshold round |
 //!
 //! The serving events carry `arg = core_id * 2 + slot` so a harness
 //! hosting several `PublishCore`s (sharded runs) can tell them apart.
@@ -70,22 +65,11 @@
 //! | `store.log.rotate` | creating the next log segment after a snapshot |
 //! | `store.log.retire` | deleting a log segment wholly covered by snapshots |
 
-#[cfg(feature = "sim")]
-use std::sync::Arc;
-
 /// Hook traits and installation — the surface `d2pr-sim` implements.
 #[cfg(feature = "sim")]
 pub mod hooks {
     use std::cell::RefCell;
     use std::sync::Arc;
-
-    /// A simulated barrier: blocks the calling logical task inside the
-    /// harness scheduler until all parties arrive.
-    pub trait SimBarrier: Send + Sync {
-        /// Rendezvous of all parties (same contract as
-        /// [`std::sync::Barrier::wait`], minus the leader flag).
-        fn wait(&self);
-    }
 
     /// Join handle of a simulated worker task.
     pub trait SimJoin: Send {
@@ -93,15 +77,14 @@ pub mod hooks {
         fn join(self: Box<Self>);
     }
 
-    /// Per-thread harness hooks: when installed, the shim routes barrier
-    /// construction, worker spawning, and yield points through them.
+    /// Per-thread harness hooks: when installed, the shim routes yield
+    /// points through them, and the harness spawns its logical tasks with
+    /// [`SimHooks::spawn`].
     pub trait SimHooks: Send + Sync {
         /// A scheduling point labelled per the module-level placement map.
         fn event(&self, label: &'static str, arg: usize);
         /// Spawn `f` as a new logical task named `name`.
         fn spawn(&self, name: String, f: Box<dyn FnOnce() + Send>) -> Box<dyn SimJoin>;
-        /// Build a simulated barrier for `parties` participants.
-        fn barrier(&self, parties: usize) -> Arc<dyn SimBarrier>;
     }
 
     thread_local! {
@@ -153,74 +136,6 @@ pub(crate) fn sim_event(label: &'static str, arg: usize) {
     }
     #[cfg(not(feature = "sim"))]
     let _ = (label, arg);
-}
-
-/// A barrier that is either the real [`std::sync::Barrier`] or a
-/// harness-scheduled one, decided once at construction by the presence of
-/// thread-local hooks.
-pub(crate) enum ExecBarrier {
-    /// Production: a real OS barrier.
-    Std(std::sync::Barrier),
-    /// Simulation: the harness serializes the rendezvous.
-    #[cfg(feature = "sim")]
-    Sim(Arc<dyn hooks::SimBarrier>),
-}
-
-impl ExecBarrier {
-    pub(crate) fn new(parties: usize) -> Self {
-        #[cfg(feature = "sim")]
-        if let Some(h) = hooks::current() {
-            return ExecBarrier::Sim(h.barrier(parties));
-        }
-        ExecBarrier::Std(std::sync::Barrier::new(parties))
-    }
-
-    #[inline]
-    pub(crate) fn wait(&self) {
-        match self {
-            ExecBarrier::Std(b) => {
-                b.wait();
-            }
-            #[cfg(feature = "sim")]
-            ExecBarrier::Sim(b) => b.wait(),
-        }
-    }
-}
-
-/// Join handle of a worker spawned through [`spawn_worker`].
-pub(crate) enum ExecJoin {
-    /// A real OS thread handle.
-    Std(std::thread::JoinHandle<()>),
-    /// A harness logical-task handle.
-    #[cfg(feature = "sim")]
-    Sim(Box<dyn hooks::SimJoin>),
-}
-
-impl ExecJoin {
-    pub(crate) fn join(self) {
-        match self {
-            ExecJoin::Std(h) => {
-                let _ = h.join();
-            }
-            #[cfg(feature = "sim")]
-            ExecJoin::Sim(h) => h.join(),
-        }
-    }
-}
-
-/// Spawn a worker: a real named OS thread in production, a logical task
-/// when the calling thread has harness hooks installed.
-pub(crate) fn spawn_worker(name: String, f: impl FnOnce() + Send + 'static) -> ExecJoin {
-    #[cfg(feature = "sim")]
-    if let Some(h) = hooks::current() {
-        return ExecJoin::Sim(h.spawn(name, Box::new(f)));
-    }
-    ExecJoin::Std(
-        std::thread::Builder::new()
-            .name(name)
-            .spawn(f)
-            .expect("spawn pool worker"),
-    )
 }
 
 // The planted publish-ordering bug (`sim-bug`) only makes sense when the

@@ -13,15 +13,16 @@
 //! * [`personalized`] — teleport-vector constructors and PPR+D2PR;
 //! * [`robust`] — seed-noise-insensitive (robust) personalized PageRank;
 //! * [`approx`] — locality-sensitive PPR (forward push, Monte Carlo);
-//! * [`engine`] — the production solver: cached CSC operator, persistent
-//!   arc-balanced worker pool, in-place operator updates, incremental
-//!   re-solves (warm sweep / residual-localized push, auto-selected);
+//! * [`engine`] — the production solver: cached CSC operator, in-place
+//!   operator updates, incremental re-solves (warm sweep /
+//!   residual-localized push, auto-selected); one solve runs on one
+//!   thread, and engines over one shared structure run side by side;
 //! * [`serving`] — lock-free double-buffered score publication
 //!   ([`serving::ServingEngine`] / [`serving::ScoreReader`]) and the
 //!   sharded multi-graph manager ([`serving::ShardManager`]);
-//! * [`exec`] — the execution shim: `std` concurrency in production,
-//!   scheduler-controlled concurrency under the `sim` feature (the
-//!   deterministic-simulation harness lives in the `d2pr-sim` crate);
+//! * [`exec`] — the execution shim: yield points that compile to nothing
+//!   in production and become scheduling points under the `sim` feature
+//!   (the deterministic-simulation harness lives in the `d2pr-sim` crate);
 //! * [`workspace`] — reusable rank/next/teleport buffers shared by solvers;
 //! * [`error`] — typed [`error::SolverError`] returned by the solvers;
 //! * [`centrality`] — baseline measures (degree, HITS, sampled closeness);
@@ -54,7 +55,6 @@ pub mod exec;
 pub mod kernel;
 pub mod pagerank;
 pub mod personalized;
-pub mod pool;
 pub mod residual;
 pub mod robust;
 pub mod serving;

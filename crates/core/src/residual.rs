@@ -67,15 +67,12 @@
 //! steady-state serving performs zero allocations here.
 
 use crate::engine::{conn_factor, FactoredOp};
-use crate::exec::{sim_event, ExecBarrier};
+use crate::exec::sim_event;
 use crate::pagerank::DanglingPolicy;
-use crate::pool::{PadCell, SharedMut, WorkerPool};
 use crate::workspace::ResidualScratch;
 use d2pr_graph::csr::CsrGraph;
 use d2pr_graph::delta::ArcDelta;
 use d2pr_graph::transpose::CscStructure;
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Solve parameters, extracted from the engine's configuration.
 #[derive(Debug, Clone, Copy)]
@@ -98,17 +95,6 @@ pub(crate) struct LocalizedParams {
     /// `converged == false` so the caller can finish with a few sweep
     /// iterations from the pushed iterate.
     pub work_budget: usize,
-}
-
-/// Context enabling the frontier-parallel drain: the engine's persistent
-/// worker pool and its arc-balanced owner map (`owner[v]` = worker owning
-/// destination `v`). With `None`, [`solve_localized`] drains serially.
-#[derive(Clone, Copy)]
-pub(crate) struct ParallelPushCtx<'a> {
-    /// Parked workers (spawned at engine construction, never here).
-    pub pool: &'a WorkerPool,
-    /// Owner of every node under the engine's partition.
-    pub owner: &'a [u32],
 }
 
 /// Diagnostics of a completed localized solve.
@@ -159,14 +145,10 @@ pub(crate) fn solve_localized(
     delta: &ArcDelta,
     rank: &mut [f64],
     scratch: &mut ResidualScratch,
-    par: Option<ParallelPushCtx<'_>>,
     touched_out: Option<&mut Vec<u32>>,
 ) -> LocalizedStats {
     let n = graph.num_nodes();
     scratch.ensure(n);
-    if let Some(ctx) = par {
-        scratch.ensure_parallel(ctx.pool.workers());
-    }
     let ResidualScratch {
         residual,
         touched_mark,
@@ -175,9 +157,6 @@ pub(crate) fn solve_localized(
         in_queue,
         col_mark,
         cols,
-        par_queues,
-        par_outboxes,
-        par_touched,
     } = scratch;
     debug_assert!(touched.is_empty() && cols.is_empty() && queue.is_empty());
 
@@ -381,36 +360,8 @@ pub(crate) fn solve_localized(
     stats.frontier_nodes = touched.len();
     let mut mass: f64 = touched.iter().map(|&v| residual[v as usize].abs()).sum();
 
-    // -- Drain: frontier-parallel (round-synchronous, per-owner queues)
-    //    when the engine handed us its pool, serial Gauss–Southwell
-    //    otherwise. Same threshold schedule, stop criterion, budget and
-    //    stagnation rules either way — parity is property-tested.
-    if let Some(ctx) = par {
-        mass = drain_parallel(
-            graph,
-            dangling_mask,
-            op,
-            params,
-            ctx,
-            rank,
-            residual,
-            touched_mark,
-            touched,
-            in_queue,
-            par_queues,
-            par_outboxes,
-            par_touched,
-            mass,
-            &mut stats,
-        );
-        stats.residual_mass = mass;
-        stats.converged = mass < params.tolerance;
-        export_touched(scratch, touched_out);
-        reset(scratch);
-        return stats;
-    }
-
-    // -- Signed push with an adaptive threshold schedule.
+    // -- Drain: signed Gauss–Southwell push with an adaptive threshold
+    //    schedule.
     let stop = params.tolerance;
     // Start coarse — the initial residual is concentrated near the delta,
     // so the first rounds drain the big entries with few pushes; rounds
@@ -512,309 +463,6 @@ fn export_touched(scratch: &ResidualScratch, out: Option<&mut Vec<u32>>) {
     if let Some(out) = out {
         out.clear();
         out.extend_from_slice(&scratch.touched);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Frontier-parallel drain (round-synchronous, owner-partitioned)
-// ---------------------------------------------------------------------------
-
-/// Phases broadcast to the pool workers; see [`drain_parallel`].
-const PHASE_SCAN: u8 = 0;
-const PHASE_PUSH: u8 = 1;
-const PHASE_MERGE: u8 = 2;
-const PHASE_MASS: u8 = 3;
-const PHASE_EXIT: u8 = 4;
-
-/// Per-phase partial a worker reports.
-#[derive(Debug, Clone, Copy, Default)]
-struct ParOut {
-    work: usize,
-    pushes: usize,
-    frontier: usize,
-    mass: f64,
-}
-
-/// Everything the round-synchronous drain shares with the pool workers.
-///
-/// Ownership discipline (the reason no atomics touch the hot accumulate):
-/// every node belongs to exactly one worker (`owner`), and every phase
-/// gives each index exactly one accessor —
-///
-/// * `rank`, `residual`, `touched_mark`, `in_queue` at index `v`: only
-///   `owner[v]`, in every phase;
-/// * `queues[w]`, `touched_parts[w]`: only worker `w`;
-/// * `outboxes[s * workers + r]`: written by sender `s` during `Push`,
-///   drained by receiver `r` during `Merge` — phases are separated by the
-///   barrier pair, which also publishes the writes.
-///
-/// The driver touches shared state only while workers are parked between
-/// `end` and `start`.
-struct ParShared<'a> {
-    graph: &'a CsrGraph,
-    op: FactoredOp<'a>,
-    dangling_mask: &'a [bool],
-    owner: &'a [u32],
-    policy: DanglingPolicy,
-    alpha: f64,
-    workers: usize,
-    rank: SharedMut<f64>,
-    residual: SharedMut<f64>,
-    touched_mark: SharedMut<bool>,
-    in_queue: SharedMut<bool>,
-    queues: SharedMut<Vec<u32>>,
-    outboxes: SharedMut<Vec<(u32, f64)>>,
-    touched_parts: SharedMut<Vec<u32>>,
-    /// Current push threshold θ (driver-written while workers are parked).
-    theta: UnsafeCell<f64>,
-    phase: AtomicU8,
-    start: ExecBarrier,
-    end: ExecBarrier,
-    partials: Vec<PadCell<ParOut>>,
-}
-
-// SAFETY: interior mutability follows the phase/ownership protocol above.
-unsafe impl Sync for ParShared<'_> {}
-
-/// Round-synchronous parallel drain of the seeded residual. Semantics
-/// match the serial drain in [`solve_localized`]: the same adaptive
-/// threshold schedule, the same `‖r‖₁ < tol` stop, the same work budget
-/// and stagnation rules (budget checks run at sub-round barriers, so a
-/// single sub-round may overshoot the budget by at most one frontier's
-/// out-degree sum). Only the push *order* differs, which the fixed point
-/// is independent of. Returns the final tracked residual mass.
-#[allow(clippy::too_many_arguments)]
-fn drain_parallel(
-    graph: &CsrGraph,
-    dangling_mask: &[bool],
-    op: &FactoredOp<'_>,
-    params: &LocalizedParams,
-    ctx: ParallelPushCtx<'_>,
-    rank: &mut [f64],
-    residual: &mut [f64],
-    touched_mark: &mut [bool],
-    touched: &mut Vec<u32>,
-    in_queue: &mut [bool],
-    par_queues: &mut [Vec<u32>],
-    par_outboxes: &mut [Vec<(u32, f64)>],
-    par_touched: &mut [Vec<u32>],
-    mass0: f64,
-    stats: &mut LocalizedStats,
-) -> f64 {
-    let workers = ctx.pool.workers();
-    let n = graph.num_nodes();
-    assert_eq!(ctx.owner.len(), n, "owner map must cover the graph");
-    debug_assert!(par_queues.len() >= workers && par_outboxes.len() >= workers * workers);
-
-    // Partition the seeded touched set by owner; the per-owner lists are
-    // the authoritative touched set for the drain and are merged back into
-    // the global list afterwards (for the dirty-entry reset).
-    for &v in touched.iter() {
-        par_touched[ctx.owner[v as usize] as usize].push(v);
-    }
-    touched.clear();
-
-    let shared = ParShared {
-        graph,
-        op: *op,
-        dangling_mask,
-        owner: ctx.owner,
-        policy: params.policy,
-        alpha: params.alpha,
-        workers,
-        rank: SharedMut::new(rank),
-        residual: SharedMut::new(residual),
-        touched_mark: SharedMut::new(touched_mark),
-        in_queue: SharedMut::new(in_queue),
-        queues: SharedMut::new(&mut par_queues[..workers]),
-        outboxes: SharedMut::new(&mut par_outboxes[..workers * workers]),
-        touched_parts: SharedMut::new(&mut par_touched[..workers]),
-        theta: UnsafeCell::new(0.0),
-        phase: AtomicU8::new(PHASE_SCAN),
-        start: ExecBarrier::new(workers + 1),
-        end: ExecBarrier::new(workers + 1),
-        partials: (0..workers).map(|_| PadCell::default()).collect(),
-    };
-
-    let stop = params.tolerance;
-    let mut mass = mass0;
-    let job = |w: usize| par_worker(w, &shared);
-    ctx.pool.run(&job, || {
-        // One phase rendezvous: broadcast, release, wait, sum partials.
-        let cycle = |phase: u8| -> ParOut {
-            shared.phase.store(phase, Ordering::Release);
-            shared.start.wait();
-            shared.end.wait();
-            let mut total = ParOut::default();
-            for cell in &shared.partials {
-                // SAFETY: workers are parked between the barriers.
-                let p = unsafe { *cell.0.get() };
-                total.work += p.work;
-                total.pushes += p.pushes;
-                total.frontier += p.frontier;
-                total.mass += p.mass;
-            }
-            total
-        };
-        let mut theta = mass.max(stop) / 8.0;
-        let mut exhausted = false;
-        while mass >= stop && !exhausted {
-            stats.rounds += 1;
-            sim_event("residual.round", stats.rounds);
-            // SAFETY: workers parked; exclusive access to θ.
-            unsafe { *shared.theta.get() = theta };
-            let mut frontier = cycle(PHASE_SCAN).frontier;
-            while frontier > 0 && !exhausted {
-                let pushed = cycle(PHASE_PUSH);
-                stats.pushes += pushed.pushes;
-                stats.work += pushed.work;
-                frontier = cycle(PHASE_MERGE).frontier;
-                if stats.work > params.work_budget {
-                    exhausted = true;
-                }
-            }
-            let prev_mass = mass;
-            mass = cycle(PHASE_MASS).mass;
-            // Stagnation: same rule as the serial drain.
-            if mass >= stop && mass * 2.0 > prev_mass && stats.work > params.work_budget / 8 {
-                exhausted = true;
-            }
-            if mass < stop {
-                break;
-            }
-            let total_touched: usize = (0..workers)
-                // SAFETY: workers parked; read-only peek at list lengths.
-                .map(|w| unsafe { shared.touched_parts.at(w) }.len())
-                .sum();
-            let floor = stop / (4.0 * total_touched.max(1) as f64);
-            theta = (theta / 8.0).max(floor);
-        }
-        shared.phase.store(PHASE_EXIT, Ordering::Release);
-        shared.start.wait();
-    });
-
-    // Reassemble the global touched set and clear queue leftovers (an
-    // exhausted drain can leave enqueued nodes behind) so the shared
-    // dirty-entry reset sees the serial invariants.
-    for w in 0..workers {
-        touched.append(&mut par_touched[w]);
-        for &v in &par_queues[w] {
-            in_queue[v as usize] = false;
-        }
-        par_queues[w].clear();
-    }
-    mass
-}
-
-/// Body of one drain worker: park on the start barrier, run the broadcast
-/// phase over owned state, report partials, park on the end barrier.
-fn par_worker(w: usize, sh: &ParShared<'_>) {
-    loop {
-        sh.start.wait();
-        let phase = sh.phase.load(Ordering::Acquire);
-        if phase == PHASE_EXIT {
-            return;
-        }
-        // SAFETY: θ is driver-written while workers are parked.
-        let theta = unsafe { *sh.theta.get() };
-        let mut out = ParOut::default();
-        match phase {
-            PHASE_SCAN => {
-                // Re-examine owned touched nodes against the new θ (mass
-                // below the previous θ may clear the refined one).
-                // SAFETY: queue `w` and touched part `w` belong to this
-                // worker; marks/residual are read only at owned indices.
-                let q = unsafe { sh.queues.at_mut(w) };
-                let mine = unsafe { sh.touched_parts.at(w) };
-                for &v in mine {
-                    let vu = v as usize;
-                    unsafe {
-                        if sh.residual.at(vu).abs() >= theta && !*sh.in_queue.at(vu) {
-                            *sh.in_queue.at_mut(vu) = true;
-                            q.push(v);
-                        }
-                    }
-                }
-                out.frontier = q.len();
-            }
-            PHASE_PUSH => {
-                // Settle every owned frontier node; contributions to
-                // out-neighbors go to the receiving owner's outbox — the
-                // hot accumulate stays single-writer, no atomics.
-                // SAFETY: per the ownership discipline on `ParShared`.
-                let q = unsafe { sh.queues.at_mut(w) };
-                for &i in q.iter() {
-                    let iu = i as usize;
-                    unsafe { *sh.in_queue.at_mut(iu) = false };
-                    let rho = unsafe { *sh.residual.at(iu) };
-                    if rho.abs() < theta {
-                        continue;
-                    }
-                    out.pushes += 1;
-                    unsafe {
-                        *sh.rank.at_mut(iu) += rho;
-                        *sh.residual.at_mut(iu) = 0.0;
-                    }
-                    if sh.dangling_mask[iu] {
-                        // RedistributeTeleport drops (rescale realized by
-                        // the caller's normalization); SelfLoop keeps α·ρ
-                        // in place, routed through the self-outbox so the
-                        // re-threshold happens uniformly at the merge.
-                        // (`Renormalize` never reaches the push with
-                        // dangling nodes — engine gate.)
-                        if sh.policy == DanglingPolicy::SelfLoop {
-                            unsafe { sh.outboxes.at_mut(w * sh.workers + w) }
-                                .push((i, sh.alpha * rho));
-                        }
-                        continue;
-                    }
-                    out.work += sh.graph.out_degree(i) as usize;
-                    sh.op.scatter(sh.graph, iu, sh.alpha * rho, |j, c| {
-                        let o = sh.owner[j] as usize;
-                        unsafe { sh.outboxes.at_mut(w * sh.workers + o) }.push((j as u32, c));
-                    });
-                }
-                q.clear();
-            }
-            PHASE_MERGE => {
-                // Accumulate every contribution addressed to this owner's
-                // range; enqueue nodes the additions lifted above θ.
-                // SAFETY: per the ownership discipline on `ParShared`.
-                for src in 0..sh.workers {
-                    let ob = unsafe { sh.outboxes.at_mut(src * sh.workers + w) };
-                    for &(j, c) in ob.iter() {
-                        let ju = j as usize;
-                        unsafe {
-                            let r = sh.residual.at_mut(ju);
-                            *r += c;
-                            if !*sh.touched_mark.at(ju) {
-                                *sh.touched_mark.at_mut(ju) = true;
-                                sh.touched_parts.at_mut(w).push(j);
-                            }
-                            if r.abs() >= theta && !*sh.in_queue.at(ju) {
-                                *sh.in_queue.at_mut(ju) = true;
-                                sh.queues.at_mut(w).push(j);
-                            }
-                        }
-                    }
-                    ob.clear();
-                }
-                out.frontier = unsafe { sh.queues.at(w) }.len();
-            }
-            _ => {
-                // PHASE_MASS: exact per-owner |r| partial over the touched
-                // set — the round's drift-free mass re-derivation.
-                // SAFETY: owned indices only.
-                let mine = unsafe { sh.touched_parts.at(w) };
-                out.mass = mine
-                    .iter()
-                    .map(|&v| unsafe { *sh.residual.at(v as usize) }.abs())
-                    .sum();
-            }
-        }
-        // SAFETY: cell `w` is written only by worker `w`.
-        unsafe { *sh.partials[w].0.get() = out };
-        sh.end.wait();
     }
 }
 

@@ -71,9 +71,9 @@
 //! personalization views over **one shared** [`Arc<CscStructure>`] — and
 //! routes keyed refresh/query traffic to them: `key → key % shards`.
 //! Batch queries ([`ShardManager::batch_get`]) and batch delta ingestion
-//! ([`ShardManager::ingest_all`]) keep the per-shard engines (and their
-//! persistent worker pools, which ride inside each shard's
-//! [`EngineState`]) warm across generations; in the shared-structure
+//! ([`ShardManager::ingest_all`]) keep the per-shard engines (their
+//! tables and workspaces ride inside each shard's [`EngineState`]) warm
+//! across generations; in the shared-structure
 //! layout only the first shard pays each delta's structural transpose
 //! patch, the rest receive the patched `Arc` via
 //! [`EngineState::patched_with`].
@@ -688,9 +688,6 @@ pub struct RefreshOutcome {
     pub added_nodes: u32,
     /// Nodes the batch tombstoned (incident arcs dropped, id retained).
     pub removed_nodes: usize,
-    /// OS threads this engine lineage has spawned since construction —
-    /// constant in steady state (the pool rides the state handoffs).
-    pub pool_spawns: usize,
 }
 
 /// The state a durability layer hands back to revive a [`ServingEngine`]
@@ -748,9 +745,9 @@ pub struct RecoveryOutcome {
 /// edge batches with [`ServingEngine::ingest`] while any number of
 /// [`ScoreReader`]s keep reading published generations.
 ///
-/// Owns the [`DeltaGraph`], the engine's [`EngineState`] (whose persistent
-/// worker pool rides across every refresh), and the two publication
-/// buffers. The refreshed iterate is *swapped* into the back buffer
+/// Owns the [`DeltaGraph`], the engine's [`EngineState`] (its tables and
+/// workspace ride across every refresh), and the two publication buffers.
+/// Each refresh solves on the thread that calls [`ServingEngine::ingest`]. The refreshed iterate is *swapped* into the back buffer
 /// ([`Engine::resolve_incremental_tracked`]) and published with one atomic
 /// store — steady-state serving copies no score vector at all.
 ///
@@ -825,8 +822,11 @@ impl std::fmt::Debug for ServingEngine {
 
 impl ServingEngine {
     /// Serve `graph` with uniform teleportation: cold-solve once, publish
-    /// generation 0. `threads` sizes the engine's persistent worker pool
-    /// (spawned here, reused by every refresh).
+    /// generation 0.
+    ///
+    /// `threads` is ignored: every solve runs on the calling thread. It
+    /// stays only for the benchmark client, and the next benchmark-only
+    /// change removes it.
     ///
     /// Weighted graphs are served like unweighted ones — batches carry
     /// per-arc weights ([`EdgeBatch::insert_weighted`]), re-inserts
@@ -842,7 +842,8 @@ impl ServingEngine {
         config: PageRankConfig,
         threads: usize,
     ) -> Result<Self, UpdateError> {
-        Self::with_parts(graph, None, None, model, config, threads)
+        let _ = threads;
+        Self::with_parts(graph, None, None, model, config)
     }
 
     /// Full constructor: an optional prebuilt **shared** transpose
@@ -861,7 +862,6 @@ impl ServingEngine {
         teleport: Option<&[f64]>,
         model: TransitionModel,
         config: PageRankConfig,
-        threads: usize,
     ) -> Result<Self, UpdateError> {
         let dg = DeltaGraph::new(graph)?;
         let snapshot = dg.snapshot();
@@ -869,7 +869,7 @@ impl ServingEngine {
             Some(csc) => csc,
             None => Arc::new(CscStructure::build(&snapshot)),
         };
-        let mut engine = Engine::with_structure(&snapshot, csc, threads)
+        let mut engine = Engine::with_structure(&snapshot, csc)
             .map_err(UpdateError::Solver)?
             .with_config(config)
             .map_err(UpdateError::Solver)?;
@@ -912,10 +912,9 @@ impl ServingEngine {
         teleport: Option<&[f64]>,
         model: TransitionModel,
         config: PageRankConfig,
-        threads: usize,
     ) -> Result<Self, UpdateError> {
         if matches!(layout, Layout::Baseline) {
-            return Self::with_parts(graph, None, teleport, model, config, threads);
+            return Self::with_parts(graph, None, teleport, model, config);
         }
         let (internal, csc) =
             CscStructure::with_layout(&graph, layout).map_err(UpdateError::Graph)?;
@@ -933,7 +932,7 @@ impl ServingEngine {
         });
         let dg = DeltaGraph::new(internal)?;
         let snapshot = dg.snapshot();
-        let mut engine = Engine::with_structure(&snapshot, Arc::new(csc), threads)
+        let mut engine = Engine::with_structure(&snapshot, Arc::new(csc))
             .map_err(UpdateError::Solver)?
             .with_config(config)
             .map_err(UpdateError::Solver)?;
@@ -977,6 +976,9 @@ impl ServingEngine {
     /// batches were validated before they were logged, so replay failures
     /// are internal-consistency breaches, not user input.
     ///
+    /// `threads` is ignored, as in [`ServingEngine::new`]; the next
+    /// benchmark-only change removes it.
+    ///
     /// # Errors
     /// As [`ServingEngine::with_parts`], plus a typed mismatch when
     /// `parts.scores` does not cover the graph's node set.
@@ -987,6 +989,7 @@ impl ServingEngine {
         threads: usize,
     ) -> Result<(Self, RecoveryOutcome), UpdateError> {
         use std::collections::{BTreeMap, BTreeSet};
+        let _ = threads;
         let RecoveredParts {
             graph,
             perm,
@@ -1090,7 +1093,7 @@ impl ServingEngine {
         };
         let snapshot = dg.snapshot();
         let mut engine =
-            Engine::with_structure(&snapshot, Arc::new(CscStructure::build(&snapshot)), threads)
+            Engine::with_structure(&snapshot, Arc::new(CscStructure::build(&snapshot)))
                 .map_err(UpdateError::Solver)?
                 .with_config(config)
                 .map_err(UpdateError::Solver)?;
@@ -1575,7 +1578,6 @@ impl ServingEngine {
                 reweighted_arcs: applied.delta.reweighted.len(),
                 added_nodes: applied.delta.added_nodes(),
                 removed_nodes: applied.delta.removed_nodes.len(),
-                pool_spawns: inc.pool_spawns,
             },
             structure,
         ))
@@ -1627,9 +1629,9 @@ fn poisoned() -> UpdateError {
 /// Hosts N serving engines — independent graphs, or N personalization
 /// views over one shared transpose — and routes keyed traffic to them.
 ///
-/// Routing is `key → key % num_shards`; every shard keeps its own
-/// persistent engine pool and double-buffered publication path, so
-/// refreshes on one shard never disturb readers of another.
+/// Routing is `key → key % num_shards`; every shard keeps its own engine
+/// state and double-buffered publication path, so refreshes on one shard
+/// never disturb readers of another.
 ///
 /// ```
 /// use d2pr_core::pagerank::PageRankConfig;
@@ -1649,7 +1651,6 @@ fn poisoned() -> UpdateError {
 ///     &[t0, t1],
 ///     TransitionModel::DegreeDecoupled { p: 0.5 },
 ///     PageRankConfig::default(),
-///     1,
 /// )
 /// .unwrap();
 /// // Keyed batch queries fan out to the owning shards.
@@ -1684,7 +1685,6 @@ impl ShardManager {
         graphs: Vec<CsrGraph>,
         model: TransitionModel,
         config: PageRankConfig,
-        threads_per_shard: usize,
     ) -> Result<Self, UpdateError> {
         if graphs.is_empty() {
             return Err(UpdateError::Graph(GraphError::Snapshot(
@@ -1693,7 +1693,7 @@ impl ShardManager {
         }
         let shards = graphs
             .into_iter()
-            .map(|g| ServingEngine::new(g, model, config, threads_per_shard))
+            .map(|g| ServingEngine::with_parts(g, None, None, model, config))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self { shards })
     }
@@ -1718,7 +1718,6 @@ impl ShardManager {
         teleports: &[Vec<f64>],
         model: TransitionModel,
         config: PageRankConfig,
-        threads_per_shard: usize,
     ) -> Result<Self, UpdateError> {
         if teleports.is_empty() {
             return Err(UpdateError::Graph(GraphError::Snapshot(
@@ -1735,7 +1734,6 @@ impl ShardManager {
                     Some(t),
                     model,
                     config,
-                    threads_per_shard,
                 )
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -1956,7 +1954,7 @@ mod tests {
     fn initial_publication_matches_cold_solve() {
         let g = barabasi_albert(400, 3, 11).unwrap();
         let cold = pagerank(&g, MODEL, &tight());
-        let serving = ServingEngine::new(g, MODEL, tight(), 2).unwrap();
+        let serving = ServingEngine::new(g, MODEL, tight(), 1).unwrap();
         let reader = serving.reader();
         assert_eq!(reader.generation(), 0);
         assert_eq!(reader.len(), 400);
@@ -1974,11 +1972,10 @@ mod tests {
     #[test]
     fn ingest_publishes_generations_matching_cold_solves() {
         let g = barabasi_albert(500, 3, 13).unwrap();
-        let mut serving = ServingEngine::new(g.clone(), MODEL, tight(), 2).unwrap();
+        let mut serving = ServingEngine::new(g.clone(), MODEL, tight(), 1).unwrap();
         let reader = serving.reader();
         let mut dg = DeltaGraph::new(g).unwrap();
         let mut snap = Vec::new();
-        let mut spawns = None;
         for round in 0..4u32 {
             let mut batch = EdgeBatch::new();
             let before = dg.snapshot();
@@ -1991,12 +1988,6 @@ mod tests {
             let refresh = serving.ingest(&batch).unwrap();
             assert_eq!(refresh.generation, u64::from(round) + 1);
             assert!(refresh.converged);
-            // The persistent pool rides the state handoffs: the spawn
-            // counter is a constant paid at construction.
-            match spawns {
-                None => spawns = Some(refresh.pool_spawns),
-                Some(s) => assert_eq!(refresh.pool_spawns, s, "no spawns per refresh"),
-            }
             dg.apply_batch(&batch).unwrap();
             let snapshot = dg.snapshot();
             let cold = pagerank(&snapshot, MODEL, &tight());
@@ -2115,8 +2106,7 @@ mod tests {
         use d2pr_graph::permute::Layout;
         let g = barabasi_albert(250, 3, 29).unwrap();
         let mut serving =
-            ServingEngine::with_layout(g, Layout::DegreeDescending, None, MODEL, tight(), 1)
-                .unwrap();
+            ServingEngine::with_layout(g, Layout::DegreeDescending, None, MODEL, tight()).unwrap();
         let snap_graph = serving.delta_graph().snapshot(); // solver order
         let perm = serving.permutation().cloned();
         assert!(perm.is_some());
@@ -2198,9 +2188,7 @@ mod tests {
         assert_eq!(out.inserted_arcs, 1);
         // Served scores match a cold solve of the evolved weighted graph.
         let evolved = serving.delta_graph().snapshot();
-        let mut engine = Engine::with_threads(&evolved, 1)
-            .with_config(tight())
-            .unwrap();
+        let mut engine = Engine::new(&evolved).with_config(tight()).unwrap();
         engine.set_model(MODEL).unwrap();
         let direct = engine.solve().unwrap();
         let mut snap = Vec::new();
@@ -2244,7 +2232,7 @@ mod tests {
         let mut t = vec![0.0; 80];
         t[11] = 1.0;
         let mut serving =
-            ServingEngine::with_parts(g.clone(), None, Some(&t), MODEL, tight(), 1).unwrap();
+            ServingEngine::with_parts(g.clone(), None, Some(&t), MODEL, tight()).unwrap();
         let mut b1 = EdgeBatch::new();
         b1.add_nodes(1);
         b1.insert(80, 3);
@@ -2271,7 +2259,7 @@ mod tests {
         let snap = dg.snapshot();
         let mut grown_t = t.clone();
         grown_t.resize(82, 0.0);
-        let mut engine = Engine::with_threads(&snap, 1).with_config(tight()).unwrap();
+        let mut engine = Engine::new(&snap).with_config(tight()).unwrap();
         engine.set_model(MODEL).unwrap();
         let mut cold = engine.solve_with_teleport(Some(&grown_t)).unwrap().scores;
         cold[2] = 0.0;
@@ -2290,7 +2278,7 @@ mod tests {
             t[seed as usize] = 1.0;
             teleports.push(t);
         }
-        let mut shards = ShardManager::personalized(&g, &teleports, MODEL, tight(), 1).unwrap();
+        let mut shards = ShardManager::personalized(&g, &teleports, MODEL, tight()).unwrap();
         assert_eq!(shards.num_shards(), 3);
         // Construction: one Arc for all shards.
         let s0 = shards.shard(0).shared_structure().unwrap();
@@ -2301,7 +2289,7 @@ mod tests {
             ));
         }
         // Per-shard scores match direct personalized solves.
-        let mut engine = Engine::with_threads(&g, 1).with_config(tight()).unwrap();
+        let mut engine = Engine::new(&g).with_config(tight()).unwrap();
         engine.set_model(MODEL).unwrap();
         let mut snap = Vec::new();
         for (key, t) in teleports.iter().enumerate() {
@@ -2326,7 +2314,7 @@ mod tests {
         let mut dg = DeltaGraph::new(g).unwrap();
         dg.apply_batch(&batch).unwrap();
         let g2 = dg.snapshot();
-        let mut engine2 = Engine::with_threads(&g2, 1).with_config(tight()).unwrap();
+        let mut engine2 = Engine::new(&g2).with_config(tight()).unwrap();
         engine2.set_model(MODEL).unwrap();
         for (key, t) in teleports.iter().enumerate() {
             let direct = engine2.solve_with_teleport(Some(t)).unwrap();
@@ -2345,7 +2333,7 @@ mod tests {
             t[seed as usize] = 1.0;
             teleports.push(t);
         }
-        let mut shards = ShardManager::personalized(&g, &teleports, MODEL, tight(), 1).unwrap();
+        let mut shards = ShardManager::personalized(&g, &teleports, MODEL, tight()).unwrap();
         // Two non-edges of the base graph (the second stays absent from
         // both variants after the first is inserted on shard 0 only).
         let mut non_edges = Vec::new();
@@ -2399,7 +2387,7 @@ mod tests {
             .map(|i| barabasi_albert(120 + 10 * i as usize, 3, i).unwrap())
             .collect();
         let sizes: Vec<usize> = graphs.iter().map(CsrGraph::num_nodes).collect();
-        let mut shards = ShardManager::from_graphs(graphs, MODEL, tight(), 1).unwrap();
+        let mut shards = ShardManager::from_graphs(graphs, MODEL, tight()).unwrap();
         assert_eq!(shards.shard_of(5), 2);
         for (key, &n) in sizes.iter().enumerate() {
             assert_eq!(shards.reader(key as u64).len(), n);
@@ -2423,7 +2411,7 @@ mod tests {
         let graphs: Vec<CsrGraph> = (0..3u64)
             .map(|i| barabasi_albert(100 + 10 * i as usize, 3, i).unwrap())
             .collect();
-        let shards = ShardManager::from_graphs(graphs, MODEL, tight(), 1).unwrap();
+        let shards = ShardManager::from_graphs(graphs, MODEL, tight()).unwrap();
         // Interleaved keys (shards revisited out of order), duplicates, and
         // out-of-range nodes all answered at their original positions.
         let queries: Vec<(u64, u32)> = vec![
@@ -2449,9 +2437,9 @@ mod tests {
 
     #[test]
     fn empty_shard_sets_are_rejected() {
-        assert!(ShardManager::from_graphs(vec![], MODEL, tight(), 1).is_err());
+        assert!(ShardManager::from_graphs(vec![], MODEL, tight()).is_err());
         let g = barabasi_albert(50, 2, 1).unwrap();
-        assert!(ShardManager::personalized(&g, &[], MODEL, tight(), 1).is_err());
+        assert!(ShardManager::personalized(&g, &[], MODEL, tight()).is_err());
     }
 
     #[test]
@@ -2556,7 +2544,6 @@ mod tests {
             None,
             MODEL,
             PageRankConfig::default(),
-            1,
         )
         .unwrap();
         serving.set_top_k_capacity(12);
@@ -2625,7 +2612,7 @@ mod tests {
             barabasi_albert(90, 2, 6).unwrap(),
             barabasi_albert(150, 3, 7).unwrap(),
         ];
-        let mut shards = ShardManager::from_graphs(graphs, MODEL, tight(), 1).unwrap();
+        let mut shards = ShardManager::from_graphs(graphs, MODEL, tight()).unwrap();
         // Refresh one shard so per-shard generations diverge.
         let mut batch = EdgeBatch::new();
         batch.insert(0, 89);

@@ -38,16 +38,6 @@ pub(crate) struct ResidualScratch {
     pub(crate) col_mark: Vec<bool>,
     /// Columns of the operator the delta changed.
     pub(crate) cols: Vec<u32>,
-    /// Frontier-parallel drain: per-worker local queues (worker `w` only
-    /// ever holds nodes it owns under the engine's arc-balanced owner
-    /// map).
-    pub(crate) par_queues: Vec<Vec<u32>>,
-    /// Frontier-parallel drain: outboxes of signed residual contributions,
-    /// indexed `[sender * workers + receiver]` — merged by the receiving
-    /// owner at the round barrier, so the hot accumulate needs no atomics.
-    pub(crate) par_outboxes: Vec<Vec<(u32, f64)>>,
-    /// Frontier-parallel drain: per-owner slices of the touched set.
-    pub(crate) par_touched: Vec<Vec<u32>>,
 }
 
 impl ResidualScratch {
@@ -59,20 +49,6 @@ impl ResidualScratch {
             self.touched_mark.resize(n, false);
             self.in_queue.resize(n, false);
             self.col_mark.resize(n, false);
-        }
-    }
-
-    /// Size the per-worker structures of the frontier-parallel drain
-    /// (no-op once sized for `workers`; the inner vectors keep their
-    /// capacity between solves, so steady-state parallel drains allocate
-    /// nothing here).
-    pub(crate) fn ensure_parallel(&mut self, workers: usize) {
-        if self.par_queues.len() < workers {
-            self.par_queues.resize_with(workers, Vec::new);
-            self.par_touched.resize_with(workers, Vec::new);
-        }
-        if self.par_outboxes.len() < workers * workers {
-            self.par_outboxes.resize_with(workers * workers, Vec::new);
         }
     }
 }

@@ -60,7 +60,6 @@ fn solve_with_layout(
     config: &PageRankConfig,
     model: TransitionModel,
     teleport: Option<&[f64]>,
-    threads: usize,
 ) -> Vec<f64> {
     let (internal, csc) = CscStructure::with_layout(g, layout).expect("valid graph");
     let perm = csc.permutation().cloned();
@@ -72,7 +71,7 @@ fn solve_with_layout(
         }
         None => t.to_vec(),
     });
-    let mut engine = Engine::with_structure(&internal, Arc::new(csc), threads)
+    let mut engine = Engine::with_structure(&internal, Arc::new(csc))
         .expect("structure matches graph")
         .with_config(*config)
         .expect("validated config");
@@ -121,20 +120,19 @@ fn first_arc(g: &CsrGraph, from: u32) -> Option<(u32, u32)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Permuted == identity to 1e-8 per node, across every layout, every
-    /// dangling policy, and 1–8 threads.
+    /// Permuted == identity to 1e-8 per node, across every layout and
+    /// every dangling policy.
     #[test]
     fn permuted_solve_matches_identity_all_policies(
         g in arb_graph(40, 160),
         p in -3.0f64..3.0,
         policy_ix in 0u8..3,
         layout_ix in 0u8..3,
-        threads in 1usize..=8,
     ) {
         let model = TransitionModel::DegreeDecoupled { p };
         let config = PageRankConfig { dangling: policy_from(policy_ix), ..tight() };
-        let identity = solve_with_layout(&g, Layout::Baseline, &config, model, None, threads);
-        let permuted = solve_with_layout(&g, layout_from(layout_ix), &config, model, None, threads);
+        let identity = solve_with_layout(&g, Layout::Baseline, &config, model, None);
+        let permuted = solve_with_layout(&g, layout_from(layout_ix), &config, model, None);
         for (i, (a, b)) in identity.iter().zip(&permuted).enumerate() {
             prop_assert!(
                 (a - b).abs() < 1e-8,
@@ -150,7 +148,6 @@ proptest! {
         g in arb_graph(30, 120),
         p in -2.0f64..2.0,
         layout_ix in 0u8..3,
-        threads in 1usize..=8,
         seed_weights in proptest::collection::vec(0.0f64..5.0, 1..8),
     ) {
         let n = g.num_nodes();
@@ -161,11 +158,9 @@ proptest! {
         prop_assume!(teleport.iter().sum::<f64>() > 0.0);
         let model = TransitionModel::DegreeDecoupled { p };
         let config = tight();
-        let identity =
-            solve_with_layout(&g, Layout::Baseline, &config, model, Some(&teleport), threads);
-        let permuted = solve_with_layout(
-            &g, layout_from(layout_ix), &config, model, Some(&teleport), threads,
-        );
+        let identity = solve_with_layout(&g, Layout::Baseline, &config, model, Some(&teleport));
+        let permuted =
+            solve_with_layout(&g, layout_from(layout_ix), &config, model, Some(&teleport));
         for (i, (a, b)) in identity.iter().zip(&permuted).enumerate() {
             prop_assert!(
                 (a - b).abs() < 1e-8,
@@ -188,7 +183,7 @@ proptest! {
         let mut baseline =
             ServingEngine::new(g.clone(), model, tight(), 1).expect("unweighted graph");
         let mut layouted = ServingEngine::with_layout(
-            g.clone(), layout_from(layout_ix), None, model, tight(), 1,
+            g.clone(), layout_from(layout_ix), None, model, tight(),
         ).expect("unweighted graph");
         prop_assert!(layouted.permutation().is_some(), "non-baseline layouts permute");
 

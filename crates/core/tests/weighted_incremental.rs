@@ -116,7 +116,7 @@ fn assert_incremental_matches_cold(
     let mut next = Vec::new();
     let mut touched = TouchedSet::new();
     {
-        let mut engine = Engine::with_threads(&snapshot, 1)
+        let mut engine = Engine::new(&snapshot)
             .with_config(config)
             .expect("validated config");
         engine.set_model(model).expect("validated model");
@@ -295,7 +295,7 @@ fn single_edge_reweight_refresh(tolerance: f64) -> (ResolveMode, usize, f64) {
 
     let mut dg = DeltaGraph::new(base.clone()).expect("weighted base");
     let (prev, state) = {
-        let mut engine = Engine::with_threads(&base, 1)
+        let mut engine = Engine::new(&base)
             .with_config(config)
             .expect("validated config");
         engine.set_model(model).expect("model");

@@ -471,8 +471,8 @@ fn run(opts: &Options) -> Result<(), String> {
             .as_ref()
             .ok_or(format!("recover needs a store directory\n{USAGE}"))?;
         eprintln!("recover: opening durable store {dir} ...");
-        let reports = d2pr_experiments::run_recover(std::path::Path::new(dir), 0)
-            .map_err(|e| e.to_string())?;
+        let reports =
+            d2pr_experiments::run_recover(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
         print_table(
             "Recovery: per-shard snapshot + log-tail replay",
             &d2pr_experiments::serving::recover_report(&reports),

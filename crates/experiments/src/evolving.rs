@@ -28,7 +28,7 @@
 //! --node-churn` drives both.
 
 use crate::report::TextTable;
-use d2pr_core::engine::{default_threads, Engine, ResolveMode};
+use d2pr_core::engine::{Engine, ResolveMode};
 use d2pr_core::error::UpdateError;
 use d2pr_core::pagerank::PageRankConfig;
 use d2pr_core::transition::TransitionModel;
@@ -146,8 +146,6 @@ pub struct EvolvingConfig {
     pub tolerance: f64,
     /// Solver iteration cap.
     pub max_iterations: usize,
-    /// Engine worker threads (`0` = machine parallelism).
-    pub threads: usize,
     /// RNG seed for the graph and the churn stream.
     pub seed: u64,
     /// Incremental re-solve strategy for the "warm" side of the
@@ -175,7 +173,6 @@ impl Default for EvolvingConfig {
             alpha: 0.85,
             tolerance: 1e-6,
             max_iterations: 500,
-            threads: 0,
             seed: 0xE401,
             mode: RefreshMode::Auto,
             weighted: false,
@@ -265,11 +262,6 @@ impl EvolvingReport {
 /// Propagates generator, delta-application, transpose-patch, and solver
 /// failures as [`UpdateError`].
 pub fn run_evolving(cfg: &EvolvingConfig) -> Result<EvolvingReport, UpdateError> {
-    let threads = if cfg.threads == 0 {
-        default_threads()
-    } else {
-        cfg.threads
-    };
     let solver = PageRankConfig {
         alpha: cfg.alpha,
         tolerance: cfg.tolerance,
@@ -331,7 +323,7 @@ pub fn run_evolving(cfg: &EvolvingConfig) -> Result<EvolvingReport, UpdateError>
     let (initial_iterations, mut prev_scores, mut state);
     {
         let csc = std::sync::Arc::new(CscStructure::build(&snapshot));
-        let mut engine = Engine::with_structure(&snapshot, csc, threads)?.with_config(solver)?;
+        let mut engine = Engine::with_structure(&snapshot, csc)?.with_config(solver)?;
         engine.set_model(model)?;
         let r = engine.solve()?;
         initial_iterations = r.iterations;
@@ -352,17 +344,12 @@ pub fn run_evolving(cfg: &EvolvingConfig) -> Result<EvolvingReport, UpdateError>
         // start so every mode (including the plain sweep) accepts it.
         prev_scores.resize(new_snapshot.num_nodes(), 0.0);
         let warm = match cfg.mode {
-            RefreshMode::Sweep => {
-                let pool_spawns = engine.pool_spawns();
-                let result = engine.resolve_warm(&prev_scores)?;
-                d2pr_core::engine::IncrementalOutcome {
-                    result,
-                    mode: ResolveMode::WarmSweep,
-                    frontier: 0,
-                    pushes: 0,
-                    pool_spawns,
-                }
-            }
+            RefreshMode::Sweep => d2pr_core::engine::IncrementalOutcome {
+                result: engine.resolve_warm(&prev_scores)?,
+                mode: ResolveMode::WarmSweep,
+                frontier: 0,
+                pushes: 0,
+            },
             RefreshMode::Localized => engine.resolve_localized(&prev_scores, &outcome.delta)?,
             RefreshMode::Auto => engine.resolve_incremental(&prev_scores, &outcome.delta)?,
         };
@@ -462,7 +449,6 @@ mod tests {
             attachments: 4,
             batches: 3,
             churn: 0.01,
-            threads: 2,
             tolerance: 1e-9,
             mode: RefreshMode::Sweep,
             ..Default::default()
@@ -492,7 +478,6 @@ mod tests {
             attachments: 4,
             batches: 3,
             churn: 0.02,
-            threads: 1,
             tolerance: 1e-9,
             weighted: true,
             node_churn: true,
@@ -523,7 +508,6 @@ mod tests {
             attachments: 4,
             batches: 2,
             churn: 0.0008,
-            threads: 1,
             tolerance: 1e-9,
             weighted: true,
             mode: RefreshMode::Auto,
@@ -553,7 +537,6 @@ mod tests {
                 batches: 2,
                 // Trickle-scale churn so the localized path is exercised.
                 churn: 0.0005,
-                threads: 1,
                 tolerance: 1e-9,
                 mode,
                 ..Default::default()

@@ -18,7 +18,7 @@
 
 use crate::evolving::churn_stream;
 use crate::report::TextTable;
-use d2pr_core::engine::{default_threads, ResolveMode};
+use d2pr_core::engine::ResolveMode;
 use d2pr_core::error::UpdateError;
 use d2pr_core::pagerank::PageRankConfig;
 use d2pr_core::serving::{RefreshOutcome, ScoreReader, ShardManager};
@@ -96,8 +96,6 @@ pub struct ServeConfig {
     pub tolerance: f64,
     /// Solver iteration cap.
     pub max_iterations: usize,
-    /// Engine worker threads per shard (`0` = machine parallelism).
-    pub threads: usize,
     /// RNG seed for the graph, the teleports, and the churn stream.
     pub seed: u64,
     /// Ranked-read size: readers interleave `top_k(top_k)` queries into
@@ -129,7 +127,6 @@ impl Default for ServeConfig {
             alpha: 0.85,
             tolerance: 1e-6,
             max_iterations: 500,
-            threads: 0,
             seed: 0x5EB7,
             top_k: 0,
             query_mix: 0.0,
@@ -261,11 +258,6 @@ impl ServeReport {
 /// Propagates generator, ingestion, solver, and durability failures as
 /// [`ServeError`].
 pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
-    let threads = if cfg.threads == 0 {
-        default_threads()
-    } else {
-        cfg.threads
-    };
     let solver = PageRankConfig {
         alpha: cfg.alpha,
         tolerance: cfg.tolerance,
@@ -293,20 +285,16 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
         .map_err(d2pr_core::error::UpdateError::Graph)?;
 
     let mut shards = match (&cfg.data_dir, &teleports) {
-        (None, None) => Stack::Mem(ShardManager::from_graphs(vec![g0], model, solver, threads)?),
-        (None, Some(t)) => Stack::Mem(ShardManager::personalized(&g0, t, model, solver, threads)?),
+        (None, None) => Stack::Mem(ShardManager::from_graphs(vec![g0], model, solver)?),
+        (None, Some(t)) => Stack::Mem(ShardManager::personalized(&g0, t, model, solver)?),
         (Some(dir), tp) => {
             let opts = StoreOptions {
                 snapshot_every: cfg.snapshot_every,
                 ..Default::default()
             };
             Stack::Durable(match tp {
-                None => {
-                    DurableShardManager::from_graphs(dir, vec![g0], model, solver, threads, opts)?
-                }
-                Some(t) => {
-                    DurableShardManager::personalized(dir, &g0, t, model, solver, threads, opts)?
-                }
+                None => DurableShardManager::from_graphs(dir, vec![g0], model, solver, opts)?,
+                Some(t) => DurableShardManager::personalized(dir, &g0, t, model, solver, opts)?,
             })
         }
     };
@@ -411,13 +399,8 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
 /// # Errors
 /// [`ServeError::Store`] when the directory holds no recoverable state
 /// or the shard layout is malformed.
-pub fn run_recover(dir: &Path, threads: usize) -> Result<Vec<RecoveryReport>, ServeError> {
-    let threads = if threads == 0 {
-        default_threads()
-    } else {
-        threads
-    };
-    let (_stack, reports) = DurableShardManager::open(dir, threads, StoreOptions::default())?;
+pub fn run_recover(dir: &Path) -> Result<Vec<RecoveryReport>, ServeError> {
+    let (_stack, reports) = DurableShardManager::open(dir, StoreOptions::default())?;
     Ok(reports)
 }
 
@@ -518,7 +501,6 @@ mod tests {
             churn: 0.002,
             readers: 2,
             shards: 1,
-            threads: 1,
             ..Default::default()
         };
         let r = run_serve(&cfg).unwrap();
@@ -543,7 +525,6 @@ mod tests {
             churn: 0.002,
             readers: 2,
             shards: 1,
-            threads: 1,
             top_k: 8,
             query_mix: 0.5,
             ..Default::default()
@@ -569,7 +550,6 @@ mod tests {
             churn: 0.002,
             readers: 1,
             shards: 1,
-            threads: 1,
             data_dir: Some(dir.clone()),
             snapshot_every: 3,
             ..Default::default()
@@ -583,7 +563,7 @@ mod tests {
             other => panic!("expected AlreadyInitialized, got {other:?}"),
         }
 
-        let reports = run_recover(&dir, 1).unwrap();
+        let reports = run_recover(&dir).unwrap();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].recovered_generation, 4);
         // Snapshot cadence 3 over 4 batches: one batch rides the log.
@@ -602,7 +582,6 @@ mod tests {
             churn: 0.002,
             readers: 1,
             shards: 3,
-            threads: 1,
             ..Default::default()
         };
         let r = run_serve(&cfg).unwrap();

@@ -2,18 +2,23 @@
 //!
 //! Every figure in the paper is a sweep of the de-coupling weight `p`
 //! (optionally crossed with `α` or `β`) plotting the Spearman correlation
-//! between D2PR ranks and application significance. This module runs those
-//! sweeps efficiently through the fused [`Engine`]: the transpose structure
-//! and degree/Θ tables are built once per graph, the operator is rewritten
-//! in place per grid point, and one arc-balanced worker pool serves every
-//! iteration of every `(β, α, p)` grid point.
+//! between D2PR ranks and application significance. The grid points are
+//! independent solves, so this module spreads them over grid workers: the
+//! transpose structure is built once per graph and shared by `Arc`, each
+//! worker runs its own single-thread [`Engine`] over it (the operator is
+//! rewritten in place per grid point), and the significance is ranked
+//! once per grid.
 
 use d2pr_core::d2pr::D2pr;
-use d2pr_core::engine::Engine;
+use d2pr_core::engine::{default_threads, Engine};
 use d2pr_core::pagerank::PageRankConfig;
 use d2pr_core::transition::TransitionModel;
 use d2pr_graph::csr::CsrGraph;
-use d2pr_stats::correlation::{kendall_tau_b, spearman};
+use d2pr_graph::transpose::CscStructure;
+use d2pr_stats::correlation::{kendall_tau_b, pearson, spearman};
+use d2pr_stats::rank::{fractional_ranks, RankOrder};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Spearman correlation between a score vector and the significance signal
 /// (scores are a monotone proxy for their ranks, so correlating scores
@@ -50,7 +55,8 @@ pub struct SweepConfig {
     pub tolerance: f64,
     /// Solver iteration cap.
     pub max_iterations: usize,
-    /// Worker threads for the engine (`0` = machine parallelism).
+    /// CPUs the sweep may use: grid workers, each solving one grid point
+    /// at a time on one thread (`0` = machine parallelism).
     pub threads: usize,
 }
 
@@ -80,12 +86,16 @@ impl SweepConfig {
 
     /// Run the sweep on one graph + significance pair. For unweighted
     /// graphs the β grid is ignored (a single β=0 pass runs instead, since
-    /// β only exists for weighted transitions).
+    /// β only exists for weighted transitions). Points come back in grid
+    /// order: β outer, then α, then p.
     ///
-    /// One [`Engine`] serves the whole grid: the transposed operator
-    /// structure is built once, each `(β, α, p)` point only rewrites the
-    /// probability array in place, and the worker pool is reused across
-    /// every `p` curve.
+    /// The transpose structure is built once and the significance ranked
+    /// once. Up to `threads` grid workers — the calling thread plus scoped
+    /// threads, never more workers than points — claim points from a
+    /// shared counter, each solving on its own single-thread [`Engine`]
+    /// over the shared structure, and drop each point's scores as soon as
+    /// they are correlated. Every point starts from the uniform vector, so
+    /// the result is the same, bit for bit, at every `threads`.
     pub fn run(&self, graph: &CsrGraph, significance: &[f64]) -> Vec<GridPoint> {
         assert_eq!(
             graph.num_nodes(),
@@ -97,51 +107,90 @@ impl SweepConfig {
         } else {
             &[0.0]
         };
+        let grid: Vec<(f64, f64, f64)> = betas
+            .iter()
+            .flat_map(|&beta| {
+                self.alphas
+                    .iter()
+                    .flat_map(move |&alpha| self.ps.iter().map(move |&p| (beta, alpha, p)))
+            })
+            .collect();
         let threads = if self.threads == 0 {
-            d2pr_core::engine::default_threads()
+            default_threads()
         } else {
             self.threads
         };
-        let mut engine = Engine::with_threads(graph, threads);
-        let mut out = Vec::with_capacity(self.ps.len() * self.alphas.len() * betas.len());
-        for &beta in betas {
-            let models: Vec<TransitionModel> = self
-                .ps
-                .iter()
-                .map(|&p| {
-                    if graph.is_weighted() {
-                        TransitionModel::Blended { p, beta }
-                    } else {
-                        TransitionModel::DegreeDecoupled { p }
-                    }
-                })
-                .collect();
-            for &alpha in &self.alphas {
-                let config = PageRankConfig {
+        let csc = Arc::new(CscStructure::build(graph));
+        let sig_ranks = fractional_ranks(significance, RankOrder::Ascending);
+        // Each worker's engine and point list are built here, on the
+        // calling thread, and the workers only borrow them: a thread's
+        // allocations live in its own malloc arena, which the process's
+        // later threads inherit once it exits, and building them inside
+        // the spawned workers slowed the serving layer's ranked reads on
+        // the `sweep` benchmark by a quarter.
+        let workers = threads.clamp(1, grid.len().max(1));
+        let mut slots: Vec<(Engine<'_>, Vec<(usize, GridPoint)>)> = (0..workers)
+            .map(|_| {
+                let engine = Engine::with_structure(graph, Arc::clone(&csc))
+                    .expect("structure of this graph");
+                (engine, Vec::with_capacity(grid.len()))
+            })
+            .collect();
+        let next = AtomicUsize::new(0);
+        let work = |(engine, done): &mut (Engine<'_>, Vec<(usize, GridPoint)>)| loop {
+            // Relaxed: the counter only hands out indices; the points come
+            // back through the workers' joins.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&(beta, alpha, p)) = grid.get(i) else {
+                return;
+            };
+            let config = PageRankConfig {
+                alpha,
+                tolerance: self.tolerance,
+                max_iterations: self.max_iterations,
+                ..Default::default()
+            };
+            engine
+                .set_config(config)
+                .expect("validated sweep parameters");
+            let model = if graph.is_weighted() {
+                TransitionModel::Blended { p, beta }
+            } else {
+                TransitionModel::DegreeDecoupled { p }
+            };
+            let result = engine
+                .solve_model(model)
+                .expect("validated sweep parameters");
+            // `spearman` bit for bit, with the significance ranked once.
+            let ranks = fractional_ranks(&result.scores, RankOrder::Ascending);
+            let rho = pearson(&ranks, &sig_ranks).unwrap_or(0.0);
+            done.push((
+                i,
+                GridPoint {
+                    p,
                     alpha,
-                    tolerance: self.tolerance,
-                    max_iterations: self.max_iterations,
-                    ..Default::default()
-                };
-                engine
-                    .set_config(config)
-                    .expect("validated sweep parameters");
-                let results = engine
-                    .sweep(&models, false)
-                    .expect("validated sweep parameters");
-                for (&p, result) in self.ps.iter().zip(results) {
-                    let rho = correlation_with_significance(&result.scores, significance);
-                    out.push(GridPoint {
-                        p,
-                        alpha,
-                        beta,
-                        spearman: rho,
-                        iterations: result.iterations,
-                    });
-                }
+                    beta,
+                    spearman: rho,
+                    iterations: result.iterations,
+                },
+            ));
+        };
+        let work = &work;
+        std::thread::scope(|scope| {
+            let (first, rest) = slots.split_first_mut().expect("at least one worker");
+            let extra: Vec<_> = rest
+                .iter_mut()
+                .map(|slot| scope.spawn(move || work(slot)))
+                .collect();
+            work(first);
+            for handle in extra {
+                handle.join().expect("grid worker panicked");
             }
-        }
-        out
+        });
+        let mut points: Vec<(usize, GridPoint)> =
+            slots.into_iter().flat_map(|(_, done)| done).collect();
+        points.sort_unstable_by_key(|&(i, _)| i);
+        points.into_iter().map(|(_, point)| point).collect()
     }
 }
 
@@ -181,6 +230,8 @@ pub fn kendall_with_significance(scores: &[f64], significance: &[f64], max_nodes
 #[cfg(test)]
 mod tests {
     use super::*;
+    use d2pr_graph::builder::GraphBuilder;
+    use d2pr_graph::csr::Direction;
     use d2pr_graph::generators::barabasi_albert;
     use d2pr_graph::stats::degrees_f64;
 
@@ -221,6 +272,89 @@ mod tests {
             "conventional PR tracks degree, got {}",
             at(0.0)
         );
+    }
+
+    #[test]
+    fn grid_workers_match_pointwise_solves() {
+        // Dynamic claiming, order restoration and the once-ranked
+        // significance: at every `threads` the grid equals a point-by-point
+        // loop of `solve_model` plus `correlation_with_significance`.
+        let ba = barabasi_albert(300, 3, 5).unwrap();
+        let mut b = GraphBuilder::new(Direction::Directed, 120);
+        for u in 0..120u32 {
+            for k in 1..=3u32 {
+                let v = (u * 7 + k * 13) % 120;
+                if v != u {
+                    b.add_weighted_edge(u, v, f64::from(1 + (u + k) % 5));
+                }
+            }
+        }
+        let weighted = b.build().unwrap();
+        let grids = [
+            (
+                &ba,
+                SweepConfig {
+                    ps: vec![-1.0, 0.0, 0.5, 2.0],
+                    alphas: vec![0.5, 0.85],
+                    ..Default::default()
+                },
+            ),
+            (
+                &weighted,
+                SweepConfig {
+                    ps: vec![-1.0, 0.5],
+                    betas: vec![0.0, 0.5, 1.0],
+                    ..Default::default()
+                },
+            ),
+        ];
+        for (g, cfg) in grids {
+            let sig: Vec<f64> = degrees_f64(g)
+                .iter()
+                .enumerate()
+                .map(|(v, d)| d + (v % 7) as f64)
+                .collect();
+            let betas = if g.is_weighted() {
+                &cfg.betas[..]
+            } else {
+                &[0.0]
+            };
+            let mut expected = Vec::new();
+            for &beta in betas {
+                for &alpha in &cfg.alphas {
+                    for &p in &cfg.ps {
+                        let config = PageRankConfig {
+                            alpha,
+                            tolerance: cfg.tolerance,
+                            max_iterations: cfg.max_iterations,
+                            ..Default::default()
+                        };
+                        let model = if g.is_weighted() {
+                            TransitionModel::Blended { p, beta }
+                        } else {
+                            TransitionModel::DegreeDecoupled { p }
+                        };
+                        let mut engine = Engine::new(g).with_config(config).unwrap();
+                        let r = engine.solve_model(model).unwrap();
+                        let rho = correlation_with_significance(&r.scores, &sig);
+                        expected.push((p, alpha, beta, rho, r.iterations));
+                    }
+                }
+            }
+            for threads in [1, 3] {
+                let points = SweepConfig {
+                    threads,
+                    ..cfg.clone()
+                }
+                .run(g, &sig);
+                assert_eq!(points.len(), expected.len());
+                for (pt, &(p, alpha, beta, rho, iterations)) in points.iter().zip(&expected) {
+                    assert_eq!((pt.p, pt.alpha, pt.beta), (p, alpha, beta), "grid order");
+                    assert_eq!(pt.spearman.to_bits(), rho.to_bits(), "threads = {threads}");
+                    assert_eq!(pt.iterations, iterations);
+                }
+            }
+        }
     }
 
     #[test]

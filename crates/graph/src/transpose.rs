@@ -479,22 +479,6 @@ impl CscStructure {
         let v = v as usize;
         &self.in_sources[self.in_offsets[v]..self.in_offsets[v + 1]]
     }
-
-    /// Partition destination nodes `0..num_nodes` into `parts` contiguous
-    /// ranges of approximately equal **incoming-arc count** (each range also
-    /// counts one unit per node, so empty nodes cannot pile into one range).
-    ///
-    /// Node-count partitions are pathological on power-law graphs: a range
-    /// holding the few high in-degree hubs does almost all the work. Using
-    /// the prefix sums already stored in `in_offsets` makes this `O(V)` with
-    /// no extra memory beyond the output.
-    ///
-    /// Guarantees: ranges are disjoint, consecutive, cover `0..num_nodes`
-    /// exactly, and at most `parts` ranges are returned (fewer when the
-    /// graph has fewer nodes than `parts`).
-    pub fn arc_balanced_partition(&self, parts: usize) -> Vec<std::ops::Range<usize>> {
-        arc_balanced_partition(&self.in_offsets, parts)
-    }
 }
 
 /// Out-weights of `v` on a weighted graph.
@@ -551,37 +535,6 @@ fn merge_span(
     Ok(())
 }
 
-/// See [`CscStructure::arc_balanced_partition`]; `offsets` is any CSR/CSC
-/// offsets array (length `n + 1`, non-decreasing, starting at 0).
-pub fn arc_balanced_partition(offsets: &[usize], parts: usize) -> Vec<std::ops::Range<usize>> {
-    assert!(!offsets.is_empty(), "offsets array must have length n + 1");
-    let n = offsets.len() - 1;
-    if n == 0 {
-        return Vec::new();
-    }
-    let parts = parts.clamp(1, n);
-    // Weight of node v = in_degree(v) + 1; total = m + n. The +1 keeps
-    // ranges bounded even when arcs concentrate on a few destinations.
-    let total = offsets[n] + n;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    for i in 0..parts {
-        let target = total * (i + 1) / parts;
-        let mut end = start;
-        // Advance until this range's cumulative weight reaches the target.
-        while end < n && offsets[end + 1] + (end + 1) <= target {
-            end += 1;
-        }
-        // Leave at least one node for each remaining range.
-        let remaining_parts = parts - i - 1;
-        end = end.min(n - remaining_parts).max(start + 1);
-        out.push(start..end);
-        start = end;
-    }
-    debug_assert_eq!(start, n, "partition must cover all nodes");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -608,47 +561,6 @@ mod tests {
         assert_eq!(t.in_neighbors(1), &[0]);
         assert_eq!(t.in_neighbors(2), &[0, 1]);
         assert_eq!(t.dangling(), &[2, 3]);
-    }
-
-    #[test]
-    fn partition_covers_every_node_exactly_once() {
-        let g = barabasi_albert(500, 4, 3).unwrap();
-        let t = CscStructure::build(&g);
-        for parts in [1, 2, 3, 7, 16, 499, 500, 5000] {
-            let ranges = t.arc_balanced_partition(parts);
-            assert!(ranges.len() <= parts);
-            let mut next = 0usize;
-            for r in &ranges {
-                assert_eq!(r.start, next, "ranges must be consecutive");
-                assert!(r.start < r.end, "ranges must be non-empty");
-                next = r.end;
-            }
-            assert_eq!(next, 500, "partition must cover all nodes");
-        }
-    }
-
-    #[test]
-    fn partition_balances_arcs_on_skewed_graphs() {
-        // Star pointing at node 0: all arcs land in one destination.
-        let mut b = GraphBuilder::new(Direction::Directed, 1000);
-        for v in 1..1000u32 {
-            b.add_edge(v, 0);
-        }
-        let g = b.build().unwrap();
-        let t = CscStructure::build(&g);
-        let ranges = t.arc_balanced_partition(4);
-        // The hub's range must be small (it alone carries ~half the weight),
-        // rather than the n/4 a node-count split would produce.
-        assert!(
-            ranges[0].len() < 250,
-            "hub range got {} nodes",
-            ranges[0].len()
-        );
-        let arcs_in = |r: &std::ops::Range<usize>| t.in_offsets()[r.end] - t.in_offsets()[r.start];
-        assert!(
-            arcs_in(&ranges[0]) >= 999 / 2,
-            "hub range must carry the hub's arcs"
-        );
     }
 
     #[test]
@@ -875,12 +787,10 @@ mod tests {
         let g = GraphBuilder::new(Direction::Directed, 0).build().unwrap();
         let t = CscStructure::build(&g);
         assert_eq!(t.num_nodes(), 0);
-        assert!(t.arc_balanced_partition(4).is_empty());
 
         let g1 = GraphBuilder::new(Direction::Directed, 1).build().unwrap();
         let t1 = CscStructure::build(&g1);
         assert_eq!(t1.dangling(), &[0]);
-        assert_eq!(t1.arc_balanced_partition(8), vec![0..1]);
     }
 
     #[test]

@@ -29,13 +29,13 @@
 //!    the recovered store and the final state again matches a cold
 //!    solve.
 //!
-//! Concurrency is intentionally *not* simulated here: spawn/barrier
-//! hooks fall through to real `std` primitives, because the property
-//! under test is the durability protocol's I/O ordering, not the
-//! publication interleaving (the scheduler scenario owns that).
+//! Concurrency is intentionally *not* simulated here: the spawn hook
+//! falls through to a real `std` thread, because the property under test
+//! is the durability protocol's I/O ordering, not the publication
+//! interleaving (the scheduler scenario owns that).
 
 use crate::scenario::add_node_churn;
-use d2pr_core::exec::hooks::{self, SimBarrier, SimHooks, SimJoin};
+use d2pr_core::exec::hooks::{self, SimHooks, SimJoin};
 use d2pr_core::pagerank::{pagerank, PageRankConfig};
 use d2pr_core::transition::TransitionModel;
 use d2pr_experiments::evolving::churn_stream;
@@ -91,8 +91,7 @@ fn silence_crash_signals() {
 }
 
 /// Hooks that count `store.*` events and kill the run at the chosen one.
-/// Spawns and barriers fall back to real `std` primitives (see module
-/// docs).
+/// Spawns fall back to real `std` threads (see module docs).
 struct CrashHooks {
     seen: AtomicU64,
     crash_at: Option<u64>,
@@ -103,14 +102,6 @@ struct StdJoin(std::thread::JoinHandle<()>);
 impl SimJoin for StdJoin {
     fn join(self: Box<Self>) {
         let _ = self.0.join();
-    }
-}
-
-struct StdBarrier(std::sync::Barrier);
-
-impl SimBarrier for StdBarrier {
-    fn wait(&self) {
-        self.0.wait();
     }
 }
 
@@ -137,10 +128,6 @@ impl SimHooks for CrashHooks {
                 .expect("spawn worker"),
         ))
     }
-
-    fn barrier(&self, parties: usize) -> Arc<dyn SimBarrier> {
-        Arc::new(StdBarrier(std::sync::Barrier::new(parties)))
-    }
 }
 
 /// Workload parameters of one crash-injection run, derived from the seed.
@@ -155,9 +142,6 @@ pub struct StoreScenarioConfig {
     /// Snapshot cadence handed to the store (0 = never, so the whole
     /// history rides the log).
     pub snapshot_every: u64,
-    /// Worker threads of the serving engine (2 exercises the pooled
-    /// refresh path under injection).
-    pub threads: usize,
     /// Kill the run at this zero-based `store.*` event; `None` (or a
     /// value beyond the run's event count) runs to completion, which is
     /// itself a valid case — recovery after a clean shutdown.
@@ -182,7 +166,6 @@ impl StoreScenarioConfig {
             nodes: [40, 60, 90][(mix % 3) as usize],
             batches,
             snapshot_every: [0, 2, 3][((mix >> 8) % 3) as usize],
-            threads: 1 + ((mix >> 16) % 2) as usize,
             crash_at: Some((mix >> 32) % event_bound),
             node_churn: (mix >> 40) % 2 == 1,
         }
@@ -271,7 +254,7 @@ pub fn run_store_scenario(cfg: &StoreScenarioConfig) -> Result<StoreCrashReport,
     let dir = std::env::temp_dir().join(format!("d2pr-crash-{}-{}", cfg.seed, std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Phase 1: run the workload under injection hooks.
+    // Step 1: run the workload under injection hooks.
     let hooks_impl = Arc::new(CrashHooks {
         seen: AtomicU64::new(0),
         crash_at: cfg.crash_at,
@@ -288,7 +271,7 @@ pub fn run_store_scenario(cfg: &StoreScenarioConfig) -> Result<StoreCrashReport,
         catch_unwind(AssertUnwindSafe(move || -> Result<(), String> {
             let _guard = hooks::install(hooks_impl);
             let mut store =
-                DurableServingEngine::create(&dir, base, MODEL, solver_config(), cfg.threads, opts)
+                DurableServingEngine::create(&dir, base, MODEL, solver_config(), 1, opts)
                     .map_err(|e| format!("create: {e}"))?;
             created.store(true, Ordering::Relaxed);
             for b in batches {
@@ -317,8 +300,8 @@ pub fn run_store_scenario(cfg: &StoreScenarioConfig) -> Result<StoreCrashReport,
     };
     let store_events = hooks_impl.seen.load(Ordering::Relaxed);
 
-    // Phase 2: recover cold (no hooks) and check the contract.
-    let recovery = DurableServingEngine::open(&dir, cfg.threads, opts);
+    // Step 2: recover cold (no hooks) and check the contract.
+    let recovery = DurableServingEngine::open(&dir, 1, opts);
     let (mut store, recovered_generation) = match recovery {
         Ok((store, report)) => {
             if report.recovered_generation != store.generation() {

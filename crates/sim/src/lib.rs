@@ -1,9 +1,8 @@
 //! Deterministic simulation harness for the D2PR serving stack.
 //!
 //! `d2pr-core` compiled with its `sim` feature routes every concurrency
-//! decision (pool spawns, barrier waits, the pin/publish/drain atomics of
-//! the double-buffered serving layer) through the hook layer in
-//! `d2pr_core::exec`. This crate implements those hooks: logical tasks are
+//! decision (the pin/publish/drain atomics of the double-buffered serving
+//! layer) through the hook layer in `d2pr_core::exec`. This crate implements those hooks: logical tasks are
 //! real OS threads serialized by a seeded scheduler ([`sched`]), a shadow
 //! state machine checks the publication protocol at every step
 //! ([`shadow`]), a seed-derived reader/writer workload exercises the full

@@ -22,7 +22,7 @@
 //!    graph and teleport (`invariant.parity`), checked post-run on the
 //!    main thread.
 //!
-//! Scenario shape (graph size, thread count, read mix, whether a poisoned
+//! Scenario shape (graph size, read mix, whether a poisoned
 //! batch is injected mid-stream, whether the stream grows and removes
 //! nodes, slow-reader chaos) is itself derived from the seed, so a seed
 //! sweep varies the workload as well as the schedule.
@@ -64,8 +64,6 @@ pub struct ScenarioConfig {
     /// Graph size (a small mix; every size refreshes through the same
     /// push, hybrid or warm-sweep path).
     pub nodes: usize,
-    /// Worker threads per shard engine (1 = serial refresh, 2 = pooled).
-    pub threads: usize,
     /// Churn batches the writer streams.
     pub batches: usize,
     /// Concurrent reader tasks.
@@ -94,7 +92,6 @@ impl ScenarioConfig {
         ScenarioConfig {
             seed,
             nodes: [48, 64, 96, 160][(mix % 4) as usize],
-            threads: 1 + ((mix >> 8) % 2) as usize,
             batches: 3,
             readers: 2,
             reads_per_reader: 10 + ((mix >> 16) % 9) as usize,
@@ -203,7 +200,7 @@ pub fn run_scenario_with(
         let logs = logs.clone();
         let cfg = cfg.clone();
         sim.spawn("writer", move || {
-            let mut mgr = ShardManager::personalized(&graph, &teleports, MODEL, pr, cfg.threads)
+            let mut mgr = ShardManager::personalized(&graph, &teleports, MODEL, pr)
                 .expect("shard manager construction");
             let h = hooks::current().expect("writer runs as a sim task");
             for (r, slot) in logs.iter().enumerate() {
@@ -283,7 +280,7 @@ pub fn run_scenario_with(
             // teleport on a growth ingest.
             let mut t = t.clone();
             t.resize(snap.num_nodes(), 0.0);
-            let mut eng = Engine::with_threads(&snap, 1)
+            let mut eng = Engine::new(&snap)
                 .with_config(cfg.pagerank())
                 .expect("cold engine");
             eng.set_model(MODEL).expect("model");

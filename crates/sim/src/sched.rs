@@ -4,11 +4,10 @@
 //! scheduler: exactly one task holds `Status::Running` at any moment, and
 //! every other task thread is parked on the scheduler condvar. A task
 //! hands the token back at each *yield point* — a [`sim_event`] emitted by
-//! the instrumented core (`d2pr_core::exec`), a simulated barrier wait, or
-//! a join — and the scheduler picks the next task to run. Which task gets
-//! picked is a pure function of the run's `u64` seed (plus an optional
-//! replayed choice prefix), so a failing interleaving is reproducible from
-//! `seed=<s>` alone.
+//! the instrumented core (`d2pr_core::exec`) or a join — and the scheduler
+//! picks the next task to run. Which task gets picked is a pure function
+//! of the run's `u64` seed (plus an optional replayed choice prefix), so a
+//! failing interleaving is reproducible from `seed=<s>` alone.
 //!
 //! [`sim_event`]: d2pr_core::exec
 //!
@@ -27,11 +26,15 @@
 //! On an invariant violation, deadlock, task panic, or blown step budget
 //! the scheduler records the failure and *freezes*: every task thread
 //! parks forever and [`Sim::run`] returns the failure. Frozen threads are
-//! deliberately leaked — unwinding them is not an option, because pool
-//! worker stacks carry abort-on-unwind guards (the pool's barrier protocol
-//! cannot recover from a panic, so a forced unwind would abort the whole
-//! test process). The leak is bounded: a handful of parked threads per
-//! failing run, each idle on a condvar.
+//! deliberately leaked rather than resumed or unwound: each one stopped at
+//! a yield point in the middle of a protocol step (a reader holding a pin,
+//! a writer between claiming and publishing a slot), in a state the
+//! failure has just shown to be broken. Resuming them would run the
+//! schedule past the failure, and unwinding them would run drop glue
+//! (unpins, slot releases) against that state; either can add secondary
+//! panics or hangs that bury the reported failure and its trace. The leak
+//! is bounded: a handful of parked threads per failing run, each idle on
+//! a condvar.
 //!
 //! # Scheduling policy
 //!
@@ -55,7 +58,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use d2pr_core::exec::hooks::{self, SimBarrier, SimHooks, SimJoin};
+use d2pr_core::exec::hooks::{self, SimHooks, SimJoin};
 
 /// How many trailing trace lines a failure report keeps.
 const TRACE_TAIL: usize = 48;
@@ -64,9 +67,7 @@ const TRACE_TAIL: usize = 48;
 #[derive(Debug, Clone, Default)]
 pub struct ChaosPlan {
     /// Panic the task granted the `n`-th occurrence (1-based) of the named
-    /// yield point. `("pool.job.run", n)` panics inside the worker pool's
-    /// abort-on-unwind region and therefore **aborts the process** — only
-    /// ever use it from a subprocess test.
+    /// yield point.
     pub panic_at: Option<(String, u64)>,
     /// Slow-reader mode: a task holding a pin is excluded from scheduling
     /// for up to this many consecutive decisions (while any other task is
@@ -114,7 +115,7 @@ pub struct SimMetrics {
     pub pin_retries: u64,
     /// Reads granted while some shard had a refresh in flight.
     pub mid_refresh_reads: u64,
-    /// Logical tasks spawned (scenario tasks + pool workers).
+    /// Logical tasks spawned (scenario tasks and the readers they spawn).
     pub spawned_tasks: u64,
 }
 
@@ -165,7 +166,6 @@ impl fmt::Display for SimFailure {
 enum Status {
     Ready,
     Running,
-    BarrierWait(usize),
     JoinWait(usize),
     Finished,
 }
@@ -182,14 +182,8 @@ struct Task {
     pin_hold: u64,
 }
 
-struct BarrierState {
-    parties: usize,
-    waiting: Vec<usize>,
-}
-
 struct Sched {
     tasks: Vec<Task>,
-    barriers: Vec<BarrierState>,
     rng: StdRng,
     replay: Option<Vec<u32>>,
     choices: Vec<u32>,
@@ -435,49 +429,6 @@ impl SimHooks for TaskHooks {
             target,
         })
     }
-
-    fn barrier(&self, parties: usize) -> Arc<dyn SimBarrier> {
-        let mut s = self.core.m.lock().unwrap();
-        let idx = s.barriers.len();
-        s.barriers.push(BarrierState {
-            parties,
-            waiting: Vec::new(),
-        });
-        drop(s);
-        Arc::new(BarrierImpl {
-            core: Arc::clone(&self.core),
-            idx,
-        })
-    }
-}
-
-struct BarrierImpl {
-    core: Arc<SimCore>,
-    idx: usize,
-}
-
-impl SimBarrier for BarrierImpl {
-    fn wait(&self) {
-        let id = current_task_id();
-        let core = &*self.core;
-        let mut s = core.m.lock().unwrap();
-        if s.frozen {
-            park_forever(core, s);
-        }
-        s.barriers[self.idx].waiting.push(id);
-        if s.barriers[self.idx].waiting.len() == s.barriers[self.idx].parties {
-            let waiters = std::mem::take(&mut s.barriers[self.idx].waiting);
-            for w in waiters {
-                s.tasks[w].status = Status::Ready;
-            }
-        } else {
-            s.tasks[id].status = Status::BarrierWait(self.idx);
-        }
-        s.schedule_next();
-        core.cv.notify_all();
-        let s = wait_for_grant(core, s, id);
-        drop(s);
-    }
 }
 
 struct JoinImpl {
@@ -582,7 +533,6 @@ impl Sim {
             core: Arc::new(SimCore {
                 m: Mutex::new(Sched {
                     tasks: Vec::new(),
-                    barriers: Vec::new(),
                     rng: StdRng::seed_from_u64(opts.seed ^ 0x5EED_5C4E_D01E_0000),
                     replay: opts.replay,
                     choices: Vec::new(),
@@ -604,7 +554,7 @@ impl Sim {
     }
 
     /// Spawn a root logical task (before [`run`](Sim::run)). Tasks spawned
-    /// *during* the run (pool workers, scenario readers) go through the
+    /// *during* the run (scenario readers) go through the
     /// installed hooks instead.
     pub fn spawn(&mut self, name: &str, f: impl FnOnce() + Send + 'static) {
         spawn_task(&self.core, name.to_string(), Box::new(f));

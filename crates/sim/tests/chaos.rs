@@ -4,8 +4,8 @@
 //!
 //! * **Default build** — a seed batch must pass every invariant, and each
 //!   injected fault class (slow readers pinning a retiring slot, an
-//!   `UpdateError` mid-ingest, a panicking pool job, a panicking scenario
-//!   task) must produce its documented response.
+//!   `UpdateError` mid-ingest, a panicking scenario task) must produce
+//!   its documented response.
 //! * **`--features sim-bug`** — the planted publish-ordering bug in
 //!   `d2pr-core` (the writer skips the reader drain) must be *caught* by
 //!   the shadow model, shrunk, and reproduced from the shrunk schedule.
@@ -17,11 +17,7 @@ use d2pr_sim::scenario::{run_scenario, run_scenario_with, ScenarioConfig};
 #[cfg(not(feature = "sim-bug"))]
 mod healthy {
     use super::*;
-    use d2pr_sim::sched::{Sim, SimOptions};
     use d2pr_sim::shrink::shrink;
-    use std::io::Read;
-    use std::process::{Command, Stdio};
-    use std::time::{Duration, Instant};
 
     /// A batch of seeded schedules all uphold the five invariants, and the
     /// sweep as a whole exercises the interesting interleavings: reads
@@ -103,8 +99,8 @@ mod healthy {
         assert!(spins > 0, "slow-reader chaos never made a writer spin");
     }
 
-    /// Fault class: a scenario task panics (outside the pool's abort
-    /// guard). The harness reports `task-panic` instead of hanging.
+    /// Fault class: a scenario task panics. The harness reports
+    /// `task-panic` instead of hanging.
     #[test]
     fn injected_task_panic_fails_loudly_not_silently() {
         let mut cfg = ScenarioConfig::from_seed(5);
@@ -131,73 +127,6 @@ mod healthy {
         let replayed = run_scenario_with(&cfg, Some(repro.schedule.clone()))
             .expect_err("shrunk schedule must still fail");
         assert_eq!(replayed.kind, "task-panic");
-    }
-
-    /// Fault class: a pool job panics mid-refresh. The pool's barrier
-    /// protocol cannot recover, so the documented response is a loud
-    /// process abort — not a deadlocked barrier pair. Must run in a
-    /// subprocess: the abort takes the whole process with it.
-    #[test]
-    fn injected_pool_job_panic_aborts_the_process() {
-        if std::env::var_os("D2PR_SIM_CHILD_ABORT").is_some() {
-            // Child: a simulated pool run with a panic injected at the
-            // job-execution yield point (inside the abort-on-unwind guard).
-            let mut opts = SimOptions::from_seed(7);
-            opts.chaos.panic_at = Some(("pool.job.run".to_string(), 1));
-            let mut sim = Sim::new(opts);
-            sim.spawn("pool-driver", || {
-                d2pr_core::pool::run_benign_job_for_tests(2);
-            });
-            let _ = sim.run();
-            // Reaching here means the abort never happened.
-            eprintln!("sim returned without aborting");
-            std::process::exit(42);
-        }
-
-        let exe = std::env::current_exe().expect("test binary path");
-        let mut child = Command::new(exe)
-            .args([
-                "--exact",
-                "healthy::injected_pool_job_panic_aborts_the_process",
-            ])
-            .arg("--nocapture")
-            .env("D2PR_SIM_CHILD_ABORT", "1")
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn child test process");
-
-        // The whole point: abort, not deadlock. Poll with a hard timeout.
-        let deadline = Instant::now() + Duration::from_secs(60);
-        let status = loop {
-            if let Some(s) = child.try_wait().expect("poll child") {
-                break s;
-            }
-            if Instant::now() > deadline {
-                let _ = child.kill();
-                panic!("pool deadlocked instead of aborting on a panicking job");
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        };
-        let mut stderr = String::new();
-        child
-            .stderr
-            .take()
-            .expect("piped stderr")
-            .read_to_string(&mut stderr)
-            .expect("read child stderr");
-        assert!(
-            !status.success() && status.code() != Some(42),
-            "child must die to the abort, got {status:?}\nstderr:\n{stderr}"
-        );
-        assert!(
-            stderr.contains("aborting (the barrier protocol cannot recover)"),
-            "abort did not come from the pool guard:\nstderr:\n{stderr}"
-        );
-        assert!(
-            stderr.contains("chaos: injected panic at pool.job.run"),
-            "abort did not come from the injected fault:\nstderr:\n{stderr}"
-        );
     }
 }
 

@@ -18,7 +18,6 @@ fn exhaustive_config() -> StoreScenarioConfig {
         nodes: 40,
         batches: 6,
         snapshot_every: 2,
-        threads: 1,
         crash_at: None,
         node_churn: true,
     }

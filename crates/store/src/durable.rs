@@ -145,6 +145,10 @@ impl DurableServingEngine {
     /// if it already holds durable state): cold-solve `graph`, commit the
     /// generation-0 snapshot, open the first log segment.
     ///
+    /// `threads` is ignored: every solve runs on the calling thread. It
+    /// stays only for the benchmark client, and the next benchmark-only
+    /// change removes it.
+    ///
     /// # Errors
     /// [`StoreError::AlreadyInitialized`] on a non-empty store;
     /// otherwise any serving-construction or I/O failure.
@@ -156,16 +160,8 @@ impl DurableServingEngine {
         threads: usize,
         opts: StoreOptions,
     ) -> Result<Self> {
-        Self::create_with(
-            dir,
-            graph,
-            Layout::Baseline,
-            None,
-            model,
-            config,
-            threads,
-            opts,
-        )
+        let _ = threads;
+        Self::create_with(dir, graph, Layout::Baseline, None, model, config, opts)
     }
 
     /// [`DurableServingEngine::create`] with a cache-aware [`Layout`]
@@ -174,7 +170,6 @@ impl DurableServingEngine {
     ///
     /// # Errors
     /// As [`DurableServingEngine::create`].
-    #[allow(clippy::too_many_arguments)]
     pub fn create_with(
         dir: &Path,
         graph: CsrGraph,
@@ -182,10 +177,9 @@ impl DurableServingEngine {
         teleport: Option<&[f64]>,
         model: TransitionModel,
         config: PageRankConfig,
-        threads: usize,
         opts: StoreOptions,
     ) -> Result<Self> {
-        let inner = ServingEngine::with_layout(graph, layout, teleport, model, config, threads)?;
+        let inner = ServingEngine::with_layout(graph, layout, teleport, model, config)?;
         Self::init(dir, inner, model, config, 0, opts)
     }
 
@@ -231,15 +225,17 @@ impl DurableServingEngine {
     /// when anything was replayed a fresh snapshot is committed so the
     /// next crash replays nothing.
     ///
+    /// `threads` is ignored, as in [`DurableServingEngine::create`].
+    ///
     /// # Errors
     /// As [`crate::recover::recover_dir`], plus engine-revival failures.
     pub fn open(dir: &Path, threads: usize, opts: StoreOptions) -> Result<(Self, RecoveryReport)> {
-        Self::open_shard(dir, threads, 0, opts)
+        let _ = threads;
+        Self::open_shard(dir, 0, opts)
     }
 
     pub(crate) fn open_shard(
         dir: &Path,
-        threads: usize,
         shard: usize,
         opts: StoreOptions,
     ) -> Result<(Self, RecoveryReport)> {
@@ -256,8 +252,7 @@ impl DurableServingEngine {
                     .map_err(|e| io_err(&entry.path(), "remove", &e))?;
             }
         }
-        let (inner, outcome) =
-            ServingEngine::recovered(state.parts, state.model, state.config, threads)?;
+        let (inner, outcome) = ServingEngine::recovered(state.parts, state.model, state.config, 1)?;
         let report = RecoveryReport {
             snapshot_generation: state.snapshot_generation,
             recovered_generation: outcome.generation,

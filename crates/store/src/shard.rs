@@ -110,7 +110,6 @@ impl DurableShardManager {
         graphs: Vec<CsrGraph>,
         model: TransitionModel,
         config: PageRankConfig,
-        threads_per_shard: usize,
         opts: StoreOptions,
     ) -> Result<Self> {
         if graphs.is_empty() {
@@ -118,7 +117,7 @@ impl DurableShardManager {
         }
         let engines = graphs
             .into_iter()
-            .map(|g| ServingEngine::new(g, model, config, threads_per_shard))
+            .map(|g| ServingEngine::with_parts(g, None, None, model, config))
             .collect::<std::result::Result<Vec<_>, _>>()?;
         Self::init(root, engines, model, config, opts)
     }
@@ -137,7 +136,6 @@ impl DurableShardManager {
         teleports: &[Vec<f64>],
         model: TransitionModel,
         config: PageRankConfig,
-        threads_per_shard: usize,
         opts: StoreOptions,
     ) -> Result<Self> {
         if teleports.is_empty() {
@@ -155,7 +153,6 @@ impl DurableShardManager {
                     Some(t),
                     model,
                     config,
-                    threads_per_shard,
                 )
             })
             .collect::<std::result::Result<Vec<_>, _>>()?;
@@ -198,11 +195,7 @@ impl DurableShardManager {
     /// [`DurableServingEngine::open`] per shard.
     ///
     /// [`ingest_all`]: DurableShardManager::ingest_all
-    pub fn open(
-        root: &Path,
-        threads_per_shard: usize,
-        opts: StoreOptions,
-    ) -> Result<(Self, Vec<RecoveryReport>)> {
+    pub fn open(root: &Path, opts: StoreOptions) -> Result<(Self, Vec<RecoveryReport>)> {
         let mut indices = Vec::new();
         let entries = std::fs::read_dir(root).map_err(|e| io_err(root, "read", &e))?;
         for entry in entries {
@@ -231,12 +224,8 @@ impl DurableShardManager {
         let mut shards = Vec::with_capacity(indices.len());
         let mut reports = Vec::with_capacity(indices.len());
         for index in indices {
-            let (shard, report) = DurableServingEngine::open_shard(
-                &shard_dir(root, index),
-                threads_per_shard,
-                index,
-                opts,
-            )?;
+            let (shard, report) =
+                DurableServingEngine::open_shard(&shard_dir(root, index), index, opts)?;
             shards.push(shard);
             reports.push(report);
         }

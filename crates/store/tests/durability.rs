@@ -82,7 +82,7 @@ fn clean_restart_replays_the_log_tail() {
         store.reader().snapshot_into(&mut served);
     } // process "dies" without snapshotting — the wal holds gens 1..=6
 
-    let (store, report) = DurableServingEngine::open(&dir, 2, StoreOptions::default()).unwrap();
+    let (store, report) = DurableServingEngine::open(&dir, 1, StoreOptions::default()).unwrap();
     assert_eq!(report.snapshot_generation, 0);
     assert_eq!(report.recovered_generation, 6);
     assert_eq!(report.outcome.replayed_batches, 6);
@@ -97,7 +97,7 @@ fn clean_restart_replays_the_log_tail() {
     // Replay was compacted into a fresh snapshot: the next open replays
     // nothing and lands on the same state.
     drop(store);
-    let (store, report) = DurableServingEngine::open(&dir, 2, StoreOptions::default()).unwrap();
+    let (store, report) = DurableServingEngine::open(&dir, 1, StoreOptions::default()).unwrap();
     assert_eq!(report.outcome.replayed_batches, 0);
     assert_eq!(store.generation(), 6);
     let mut again = Vec::new();
@@ -162,7 +162,6 @@ fn layout_permutation_survives_restart() {
             None,
             MODEL,
             tight(),
-            2,
             StoreOptions::default(),
         )
         .unwrap();
@@ -170,7 +169,7 @@ fn layout_permutation_survives_restart() {
             store.ingest(&batch(n, g)).unwrap();
         }
     }
-    let (store, report) = DurableServingEngine::open(&dir, 2, StoreOptions::default()).unwrap();
+    let (store, report) = DurableServingEngine::open(&dir, 1, StoreOptions::default()).unwrap();
     assert_eq!(report.recovered_generation, 4);
     // Reader ids are external: the recovered scores line up with a cold
     // solve in the caller's original node order.
@@ -229,7 +228,6 @@ fn sharded_partial_failure_recovers_per_shard() {
         vec![big, small, tiny],
         MODEL,
         tight(),
-        1,
         StoreOptions::default(),
     )
     .unwrap();
@@ -258,7 +256,7 @@ fn sharded_partial_failure_recovers_per_shard() {
     drop(shards);
 
     // Each shard recovers to its own durable generation.
-    let (shards, reports) = DurableShardManager::open(&root, 1, StoreOptions::default()).unwrap();
+    let (shards, reports) = DurableShardManager::open(&root, StoreOptions::default()).unwrap();
     assert_eq!(reports.len(), 3);
     assert_eq!(
         reports
@@ -455,7 +453,6 @@ fn personalized_shards_share_one_patch_per_group() {
         &teleports,
         MODEL,
         tight(),
-        1,
         StoreOptions::default(),
     )
     .unwrap();
@@ -474,7 +471,7 @@ fn personalized_shards_share_one_patch_per_group() {
     ));
     drop(shards);
 
-    let (shards, reports) = DurableShardManager::open(&root, 1, StoreOptions::default()).unwrap();
+    let (shards, reports) = DurableShardManager::open(&root, StoreOptions::default()).unwrap();
     assert!(reports.iter().all(|r| r.recovered_generation == 1));
     // Per-view teleports survived: the personalized view still favors
     // node 0 over the uniform view.

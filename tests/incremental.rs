@@ -3,7 +3,7 @@
 //! `Engine::resolve_warm` / `Engine::resolve_localized` /
 //! `Engine::resolve_incremental` must match a cold solve of the updated
 //! snapshot to 1e-8, across random graphs, churn batches, dangling
-//! policies, transition models, and thread counts.
+//! policies and transition models.
 
 use d2pr_core::engine::{Engine, EngineState, ResolveMode};
 use d2pr_core::pagerank::{DanglingPolicy, PageRankConfig};
@@ -40,10 +40,9 @@ fn churn_roundtrip(
     batch: &EdgeBatch,
     model: TransitionModel,
     config: PageRankConfig,
-    threads: usize,
 ) -> (Vec<f64>, Vec<f64>, Vec<f64>, ResolveMode) {
     let csc0 = std::sync::Arc::new(CscStructure::build(&base));
-    let mut engine0 = Engine::with_structure(&base, csc0, threads)
+    let mut engine0 = Engine::with_structure(&base, csc0)
         .expect("fresh structure")
         .with_config(config)
         .expect("valid config");
@@ -99,12 +98,11 @@ proptest! {
 
     /// Acceptance criterion: after a ~1% edge-churn batch, both the warm
     /// sweep and the localized push match a cold solve to 1e-8, for random
-    /// BA graphs, de-coupling weights, and thread counts.
+    /// BA graphs and de-coupling weights.
     #[test]
     fn warm_and_localized_match_cold_to_1e8(
         seed in 0u64..1_000,
         p in -2.0f64..2.0,
-        threads in 1usize..5,
         salt in 0u32..10_000,
     ) {
         let g = barabasi_albert(600, 4, seed).expect("generator");
@@ -113,9 +111,9 @@ proptest! {
         prop_assume!(!batch.is_empty());
         let model = TransitionModel::DegreeDecoupled { p };
         let (cold, warm, local, _) =
-            churn_roundtrip(g, &batch, model, tight_config(), threads);
+            churn_roundtrip(g, &batch, model, tight_config());
         let l1w: f64 = cold.iter().zip(&warm).map(|(x, y)| (x - y).abs()).sum();
-        prop_assert!(l1w < 1e-8, "warm divergence {l1w:.3e} >= 1e-8 (p={p}, threads={threads})");
+        prop_assert!(l1w < 1e-8, "warm divergence {l1w:.3e} >= 1e-8 (p={p})");
         let l1l: f64 = cold.iter().zip(&local).map(|(x, y)| (x - y).abs()).sum();
         prop_assert!(l1l < 1e-8, "localized divergence {l1l:.3e} >= 1e-8 (p={p})");
         // All are probability distributions.
@@ -157,7 +155,7 @@ proptest! {
             TransitionModel::DegreeDecoupled { p: 1.0 }
         };
         let config = PageRankConfig { dangling: policy, ..tight_config() };
-        let (cold, warm, local, _) = churn_roundtrip(g, &batch, model, config, 2);
+        let (cold, warm, local, _) = churn_roundtrip(g, &batch, model, config);
         let l1w: f64 = cold.iter().zip(&warm).map(|(x, y)| (x - y).abs()).sum();
         prop_assert!(l1w < 1e-8, "warm divergence {l1w:.3e} (policy {policy:?})");
         let l1l: f64 = cold.iter().zip(&local).map(|(x, y)| (x - y).abs()).sum();
@@ -174,7 +172,7 @@ proptest! {
         let model = TransitionModel::DegreeDecoupled { p: 0.5 };
         let mut state: EngineState;
         let mut prev = {
-            let mut e = Engine::with_structure(&g, std::sync::Arc::new(CscStructure::build(&g)), 2).unwrap()
+            let mut e = Engine::with_structure(&g, std::sync::Arc::new(CscStructure::build(&g))).unwrap()
                 .with_config(config).unwrap();
             let r = e.solve_model(model).unwrap();
             state = e.into_state();
@@ -219,7 +217,6 @@ fn directed_churn_with_dangling_nodes() {
         &batch,
         TransitionModel::DegreeDecoupled { p: 1.0 },
         tight_config(),
-        3,
     );
     assert_close(&cold, &warm, 1e-8);
     assert_close(&cold, &local, 1e-8);
@@ -234,7 +231,7 @@ fn auto_mode_picks_sweep_under_bulk_churn_and_push_under_trickle() {
         max_iterations: 2_000,
         ..Default::default()
     };
-    let mut engine0 = Engine::with_threads(&g, 1).with_config(config).unwrap();
+    let mut engine0 = Engine::new(&g).with_config(config).unwrap();
     let before = engine0.solve_model(model).unwrap();
     let state = engine0.into_state();
 
@@ -262,7 +259,7 @@ fn auto_mode_picks_sweep_under_bulk_churn_and_push_under_trickle() {
     let mut dg = DeltaGraph::new(g.clone()).unwrap();
     let outcome = dg.apply_batch(&trickle_batch).unwrap();
     let snapshot = dg.snapshot();
-    let state = Engine::with_threads(&g, 1)
+    let state = Engine::new(&g)
         .with_config(config)
         .unwrap()
         .into_state()
@@ -307,7 +304,7 @@ fn renormalize_batch_healing_last_dangling_node_stays_correct() {
         ..tight_config()
     };
     let model = TransitionModel::DegreeDecoupled { p: 0.5 };
-    let mut engine0 = Engine::with_threads(&g, 2).with_config(config).unwrap();
+    let mut engine0 = Engine::new(&g).with_config(config).unwrap();
     let before = engine0.solve_model(model).unwrap();
     let state = engine0.into_state();
 
@@ -337,7 +334,7 @@ fn warm_start_from_stale_vector_still_converges_to_fixed_point() {
     // state) must not change the fixed point — only the iteration count.
     let g = barabasi_albert(400, 4, 99).unwrap();
     let config = tight_config();
-    let mut engine = Engine::with_threads(&g, 2).with_config(config).unwrap();
+    let mut engine = Engine::new(&g).with_config(config).unwrap();
     engine
         .set_model(TransitionModel::DegreeDecoupled { p: -1.0 })
         .unwrap();
@@ -349,67 +346,6 @@ fn warm_start_from_stale_vector_still_converges_to_fixed_point() {
     assert_close(&cold.scores, &warm.scores, 1e-8);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Tentpole acceptance: the frontier-parallel residual drain must land
-    /// on the same fixed point as the serial Gauss–Southwell queue, to
-    /// 1e-8, across thread counts, dangling policies, models, and churn
-    /// patterns. The parallel threshold is forced to 0 so every localized
-    /// solve actually exercises the round-synchronous path.
-    #[test]
-    fn parallel_push_matches_serial_drain(
-        seed in 0u64..500,
-        salt in 0u32..10_000,
-        threads in 2usize..=8,
-        policy_ix in 0usize..3,
-        churn in 1usize..6,
-        p in -1.5f64..1.5,
-    ) {
-        let policy = [
-            DanglingPolicy::RedistributeTeleport,
-            DanglingPolicy::SelfLoop,
-            DanglingPolicy::Renormalize,
-        ][policy_ix];
-        let g = barabasi_albert(500, 4, seed).expect("generator");
-        let batch = churn_batch(&g, churn, salt);
-        prop_assume!(!batch.is_empty());
-        let model = TransitionModel::DegreeDecoupled { p };
-        let config = PageRankConfig { dangling: policy, ..tight_config() };
-
-        let solve = |force_parallel: bool| {
-            let mut engine = Engine::with_threads(&g, threads)
-                .with_config(config)
-                .expect("valid config");
-            engine.set_parallel_push_threshold(if force_parallel { 0 } else { usize::MAX });
-            let before = engine.solve_model(model).expect("initial solve");
-            let state = engine.into_state();
-            let mut dg = DeltaGraph::new(g.clone()).expect("unweighted");
-            let outcome = dg.apply_batch(&batch).expect("in-range");
-            let snapshot = dg.snapshot();
-            let state = state.patched(&snapshot, &outcome.delta).expect("consistent");
-            let mut engine = Engine::from_state(&snapshot, state).expect("matches");
-            let local = engine
-                .resolve_localized(&before.scores, &outcome.delta)
-                .expect("valid localized resolve");
-            let cold = engine.solve().expect("cold");
-            (local, cold.scores)
-        };
-        let (par, cold) = solve(true);
-        let (ser, _) = solve(false);
-        prop_assert!(par.result.converged && ser.result.converged);
-        prop_assert_eq!(par.mode, ser.mode, "drain strategy routing must agree");
-        let l1_cold: f64 = cold.iter().zip(&par.result.scores)
-            .map(|(x, y)| (x - y).abs()).sum();
-        prop_assert!(l1_cold < 1e-8,
-            "parallel-vs-cold divergence {l1_cold:.3e} (threads={threads}, {policy:?})");
-        let l1_ser: f64 = ser.result.scores.iter().zip(&par.result.scores)
-            .map(|(x, y)| (x - y).abs()).sum();
-        prop_assert!(l1_ser < 1e-8,
-            "parallel-vs-serial divergence {l1_ser:.3e} (threads={threads}, {policy:?})");
-    }
-}
-
 /// Satellite acceptance: N consecutive `into_state → patched → from_state`
 /// hops under churn stay within 1e-8 of cold solves, and the shared
 /// structure's `Arc` identity is preserved across every hop that does not
@@ -419,9 +355,7 @@ proptest! {
 fn chained_serving_preserves_parity_and_structure_identity() {
     let g = barabasi_albert(400, 3, 23).unwrap();
     let model = TransitionModel::DegreeDecoupled { p: 0.5 };
-    let mut engine = Engine::with_threads(&g, 2)
-        .with_config(tight_config())
-        .unwrap();
+    let mut engine = Engine::new(&g).with_config(tight_config()).unwrap();
     let mut prev = engine.solve_model(model).unwrap().scores;
     let mut state = engine.into_state();
     let mut dg = DeltaGraph::new(g).unwrap();
@@ -472,9 +406,7 @@ fn chained_serving_preserves_parity_and_structure_identity() {
 #[test]
 fn empty_delta_patch_is_identity() {
     let g = barabasi_albert(200, 3, 5).unwrap();
-    let mut engine = Engine::with_threads(&g, 2)
-        .with_config(tight_config())
-        .unwrap();
+    let mut engine = Engine::new(&g).with_config(tight_config()).unwrap();
     let before = engine.solve_model(TransitionModel::Standard).unwrap();
     let state = engine.into_state();
     let arc0 = state.shared_structure();
@@ -528,16 +460,14 @@ fn tiny_graphs_refresh_through_the_push_path() {
             dangling: policy,
             ..tight_config()
         };
-        for threads in [1, 2] {
-            let (cold, _, local, mode) = churn_roundtrip(g.clone(), &batch, model, config, threads);
-            assert!(
-                matches!(
-                    mode,
-                    ResolveMode::LocalizedPush | ResolveMode::HybridPushSweep
-                ),
-                "{policy:?}, {threads} threads: refreshed by {mode:?}"
-            );
-            assert_close(&cold, &local, 1e-8);
-        }
+        let (cold, _, local, mode) = churn_roundtrip(g.clone(), &batch, model, config);
+        assert!(
+            matches!(
+                mode,
+                ResolveMode::LocalizedPush | ResolveMode::HybridPushSweep
+            ),
+            "{policy:?}: refreshed by {mode:?}"
+        );
+        assert_close(&cold, &local, 1e-8);
     }
 }

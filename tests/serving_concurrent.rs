@@ -160,9 +160,7 @@ fn readers_never_observe_torn_or_stale_state() {
             dg.apply_batch(&batches[step - 1]).unwrap();
         }
         let snapshot = dg.snapshot();
-        let mut engine = Engine::with_threads(&snapshot, 1)
-            .with_config(config())
-            .unwrap();
+        let mut engine = Engine::new(&snapshot).with_config(config()).unwrap();
         expected.push(engine.solve_model(MODEL).unwrap().scores);
     }
 

@@ -36,7 +36,7 @@ fn mixed_size_manager() -> ShardManager {
         barabasi_albert(120, 3, 2).unwrap(),
         barabasi_albert(140, 3, 3).unwrap(),
     ];
-    ShardManager::from_graphs(graphs, MODEL, config(), 1).unwrap()
+    ShardManager::from_graphs(graphs, MODEL, config()).unwrap()
 }
 
 fn generations(mgr: &ShardManager) -> Vec<u64> {

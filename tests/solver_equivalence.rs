@@ -1,5 +1,5 @@
 //! Cross-solver equivalence on generated worlds: the reference power
-//! iteration, the serial and pooled engine, forward push and Monte-Carlo
+//! iteration, the production engine, forward push and Monte-Carlo
 //! estimators all target the same fixed point — so do their rankings, up
 //! to each method's accuracy class.
 
@@ -34,17 +34,13 @@ fn all_exact_solvers_agree_on_a_world() {
         let model = TransitionModel::DegreeDecoupled { p };
         let matrix = TransitionMatrix::build(&g, model);
         let power = pagerank_with_matrix(&g, &matrix, &tight(), None);
-        for threads in [1, 4] {
-            let mut engine = Engine::with_threads(&g, threads)
-                .with_config(tight())
-                .expect("valid config");
-            let fast = engine.solve_model(model).expect("valid inputs");
-            for i in 0..g.num_nodes() {
-                assert!(
-                    (power.scores[i] - fast.scores[i]).abs() < 1e-8,
-                    "p={p} threads={threads} node {i}"
-                );
-            }
+        let mut engine = Engine::new(&g).with_config(tight()).expect("valid config");
+        let fast = engine.solve_model(model).expect("valid inputs");
+        for i in 0..g.num_nodes() {
+            assert!(
+                (power.scores[i] - fast.scores[i]).abs() < 1e-8,
+                "p={p} node {i}"
+            );
         }
     }
 }
