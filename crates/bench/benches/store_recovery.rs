@@ -124,8 +124,8 @@ fn main() {
         for batch in &batches {
             dg.apply_batch(batch).expect("valid batch");
         }
-        let final_graph = dg.snapshot();
-        let mut engine = Engine::new(&final_graph)
+        let final_graph = dg.graph();
+        let mut engine = Engine::new(final_graph)
             .with_config(config)
             .expect("config");
         let cold = engine.solve_model(MODEL).expect("cold solve");

@@ -4,8 +4,9 @@
 //!
 //! Covers the surface the workspace's bench targets use: [`Criterion`],
 //! [`Criterion::benchmark_group`], `sample_size` / `measurement_time`
-//! builders, `bench_function` / `bench_with_input`, [`BenchmarkId`],
-//! [`black_box`], and the [`criterion_group!`] / [`criterion_main!`] macros.
+//! builders, `bench_function` / `bench_with_input`, `Bencher::iter` /
+//! `Bencher::iter_batched`, [`BenchmarkId`], [`black_box`], and the
+//! [`criterion_group!`] / [`criterion_main!`] macros.
 //!
 //! Measurement model (simpler than real criterion, same shape): after one
 //! warm-up call, each benchmark closure is timed over `sample_size` samples
@@ -70,6 +71,31 @@ impl Bencher {
             self.samples.push(t0.elapsed());
         }
     }
+
+    /// Run `routine` on a fresh `setup()` input per call, timing only
+    /// `routine`.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        black_box(routine(setup()));
+        let started = Instant::now();
+        while self.samples.len() < self.target_samples && started.elapsed() < self.budget {
+            let input = setup();
+            let t0 = Instant::now();
+            black_box(routine(input));
+            self.samples.push(t0.elapsed());
+        }
+    }
+}
+
+/// How many inputs [`Bencher::iter_batched`] sets up at once; this
+/// stand-in always sets up one per timed call.
+#[derive(Debug, Clone, Copy)]
+pub enum BatchSize {
+    /// Inputs too large to set up in bulk.
+    LargeInput,
 }
 
 /// A group of related benchmarks sharing sampling settings.

@@ -183,7 +183,7 @@ impl TouchedSet {
 ///     let mut batch = EdgeBatch::new();
 ///     batch.insert(round, 299 - round);
 ///     let outcome = dg.apply_batch(&batch).unwrap();
-///     let snapshot = dg.snapshot();
+///     let snapshot = dg.graph();
 ///     state = state.patched(&snapshot, &outcome.delta).unwrap();
 ///     let mut engine = Engine::from_state(&snapshot, state).unwrap();
 ///     let refreshed = engine.resolve_incremental(&served, &outcome.delta).unwrap();
@@ -483,7 +483,7 @@ impl<'g> Engine<'g> {
     /// let mut batch = EdgeBatch::new();
     /// batch.insert(0, 299).delete(0, g.neighbors(0)[0]);
     /// let outcome = dg.apply_batch(&batch).unwrap();
-    /// let g2 = dg.snapshot();
+    /// let g2 = dg.graph();
     ///
     /// // ... patch the transpose and refresh incrementally: the auto mode
     /// // picks a residual-localized push for a batch this small.
@@ -2059,10 +2059,10 @@ mod tests {
         batch.insert(2, 399);
         batch.insert(3, 398);
         let out = dg.apply_batch(&batch).unwrap();
-        let g2 = dg.snapshot();
-        let csc2 = Arc::new(engine.csc().patched(&g2, &out.delta).unwrap());
+        let g2 = dg.graph();
+        let csc2 = Arc::new(engine.csc().patched(g2, &out.delta).unwrap());
 
-        let mut engine2 = Engine::with_structure(&g2, csc2).unwrap();
+        let mut engine2 = Engine::with_structure(g2, csc2).unwrap();
         engine2.set_model(model).unwrap();
         let warm = engine2.resolve_warm(&before.scores).unwrap();
         let cold = engine2.solve().unwrap();
@@ -2184,9 +2184,9 @@ mod tests {
             let outcome = dg.apply_batch(&batch).unwrap();
             assert_eq!(outcome.delta.reweighted, vec![(0, 1, 2.0, 0.75)]);
             assert_eq!(outcome.delta.deleted_weights, vec![1.5]);
-            let g2 = dg.snapshot();
-            let state = engine.into_state().patched(&g2, &outcome.delta).unwrap();
-            let mut engine2 = Engine::from_state(&g2, state).unwrap();
+            let g2 = dg.graph();
+            let state = engine.into_state().patched(g2, &outcome.delta).unwrap();
+            let mut engine2 = Engine::from_state(g2, state).unwrap();
             let inc = engine2
                 .resolve_incremental(&served, &outcome.delta)
                 .unwrap();
@@ -2208,9 +2208,9 @@ mod tests {
         let mut batch = EdgeBatch::new();
         batch.insert(2, 399);
         let outcome = dg.apply_batch(&batch).unwrap();
-        let g2 = dg.snapshot();
-        let csc2 = Arc::new(engine.csc().patched(&g2, &outcome.delta).unwrap());
-        let mut engine2 = Engine::with_structure(&g2, csc2).unwrap();
+        let g2 = dg.graph();
+        let csc2 = Arc::new(engine.csc().patched(g2, &outcome.delta).unwrap());
+        let mut engine2 = Engine::with_structure(g2, csc2).unwrap();
         engine2.set_model(model).unwrap();
         let mut buf = vec![0.0; 3]; // any previous contents are discarded
         let mut touched = TouchedSet::new();

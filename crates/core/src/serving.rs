@@ -84,7 +84,7 @@ use crate::pagerank::PageRankConfig;
 use crate::transition::TransitionModel;
 use crate::workspace::PermuteScratch;
 use d2pr_graph::csr::{CsrGraph, Direction};
-use d2pr_graph::delta::{ArcDelta, DeltaGraph, EdgeBatch};
+use d2pr_graph::delta::{DeltaGraph, EdgeBatch};
 use d2pr_graph::error::GraphError;
 use d2pr_graph::permute::{Layout, NodePermutation};
 use d2pr_graph::transpose::CscStructure;
@@ -700,7 +700,7 @@ pub struct RefreshOutcome {
 #[derive(Debug, Clone)]
 pub struct RecoveredParts {
     /// The graph in **solver order** (exactly
-    /// `serving.delta_graph().snapshot()` at snapshot time — already
+    /// `serving.delta_graph().graph()` at snapshot time — already
     /// permuted when `perm` is set).
     pub graph: CsrGraph,
     /// The layout permutation the snapshot was taken under, if any.
@@ -813,7 +813,7 @@ impl std::fmt::Debug for ServingEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServingEngine")
             .field("nodes", &self.core.nodes.load(SeqCst))
-            .field("arcs", &self.dg.num_arcs())
+            .field("arcs", &self.dg.graph().num_arcs())
             .field("generation", &self.generation())
             .field("model", &self.model)
             .finish()
@@ -864,12 +864,11 @@ impl ServingEngine {
         config: PageRankConfig,
     ) -> Result<Self, UpdateError> {
         let dg = DeltaGraph::new(graph)?;
-        let snapshot = dg.snapshot();
         let csc = match structure {
             Some(csc) => csc,
-            None => Arc::new(CscStructure::build(&snapshot)),
+            None => Arc::new(CscStructure::build(dg.graph())),
         };
-        let mut engine = Engine::with_structure(&snapshot, csc)
+        let mut engine = Engine::with_structure(dg.graph(), csc)
             .map_err(UpdateError::Solver)?
             .with_config(config)
             .map_err(UpdateError::Solver)?;
@@ -931,8 +930,7 @@ impl ServingEngine {
             _ => t.to_vec(),
         });
         let dg = DeltaGraph::new(internal)?;
-        let snapshot = dg.snapshot();
-        let mut engine = Engine::with_structure(&snapshot, Arc::new(csc))
+        let mut engine = Engine::with_structure(dg.graph(), Arc::new(csc))
             .map_err(UpdateError::Solver)?
             .with_config(config)
             .map_err(UpdateError::Solver)?;
@@ -964,13 +962,14 @@ impl ServingEngine {
         })
     }
 
-    /// Revive a serving engine from durable state: rebuild the solver
-    /// stack on the snapshot graph, replay the log tail as **one** merged
-    /// delta (per-batch insert/delete pairs cancel across batches), run a
-    /// single warm incremental re-solve from the snapshot scores, and
-    /// resume publication at exactly `parts.generation + tail.len()` —
-    /// the last durable generation. An empty tail publishes the snapshot
-    /// scores untouched.
+    /// Revive a serving engine from durable state: replay the log tail
+    /// onto the snapshot graph in **one** call that patches the graph once
+    /// ([`DeltaGraph::apply_batches`]; per-batch insert/delete pairs cancel
+    /// across batches), rebuild the solver stack on the result, run a
+    /// single warm incremental re-solve from the snapshot scores with the
+    /// tail's net delta, and resume publication at exactly
+    /// `parts.generation + tail.len()` — the last durable generation. An
+    /// empty tail publishes the snapshot scores untouched.
     ///
     /// The caller (the `d2pr-store` recovery scan) guarantees the tail
     /// batches were validated before they were logged, so replay failures
@@ -988,7 +987,7 @@ impl ServingEngine {
         config: PageRankConfig,
         threads: usize,
     ) -> Result<(Self, RecoveryOutcome), UpdateError> {
-        use std::collections::{BTreeMap, BTreeSet};
+        use std::collections::BTreeSet;
         let _ = threads;
         let RecoveredParts {
             graph,
@@ -1006,97 +1005,39 @@ impl ServingEngine {
                 graph.num_nodes()
             ))));
         }
-        let n_before = graph.num_nodes() as u32;
         let mut dg = DeltaGraph::new(graph)?;
-        // Merge every tail batch into one net delta separating the
-        // snapshot graph from the final replayed state. Per arc, record
-        // its pre-tail state on first touch (`orig`: absent, or present
-        // with its then-weight) and its final state (`present`); the pair
-        // classifies the arc as net-inserted, net-deleted, net-reweighted,
-        // or a full round trip (dropped). Insert→delete chains cancel,
-        // insert→reweight chains collapse to one weighted insert, and a
-        // delete→re-insert at a new weight becomes a re-weight.
-        let mut orig: BTreeMap<(u32, u32), Option<f64>> = BTreeMap::new();
-        let mut present: BTreeMap<(u32, u32), f64> = BTreeMap::new();
-        let mut removed: BTreeSet<u32> = BTreeSet::new();
+        // Replay the whole tail with one patch; its net delta separates
+        // the snapshot graph from the final replayed state (cross-batch
+        // round trips cancel, see `DeltaGraph::apply_batches`).
+        let translated: Vec<EdgeBatch>;
+        let batches = match &perm {
+            Some(p) => {
+                translated = tail.iter().map(|b| b.permuted(p)).collect();
+                &translated
+            }
+            None => &tail,
+        };
+        let applied = dg.apply_batches(batches)?;
         // The engine-level tombstone set (external ids): seeded from the
-        // snapshot's persisted set, advanced by the tail with exactly the
-        // live-ingest rule (removals join, effective-insert endpoints
+        // snapshot's persisted set, advanced batch by batch with exactly
+        // the live-ingest rule (removals join, effective-insert endpoints
         // revive).
         let mut tombstones: BTreeSet<u32> = snapshot_removed.iter().copied().collect();
-        let mut n_after = n_before;
-        let replayed_batches = tail.len();
-        for batch in &tail {
-            let translated;
-            let batch = match &perm {
-                Some(p) => {
-                    translated = batch.permuted(p);
-                    &translated
-                }
-                None => batch,
-            };
-            let applied = dg.apply_batch(batch)?;
-            let d = &applied.delta;
-            n_after = d.nodes_after;
-            for (&a, &w) in d.inserted.iter().zip(&d.inserted_weights) {
-                orig.entry(a).or_insert(None);
-                present.insert(a, w);
-            }
-            for (&a, &w) in d.deleted.iter().zip(&d.deleted_weights) {
-                orig.entry(a).or_insert(Some(w));
-                present.remove(&a);
-            }
-            for &(u, v, old, new) in &d.reweighted {
-                orig.entry((u, v)).or_insert(Some(old));
-                present.insert((u, v), new);
-            }
-            removed.extend(d.removed_nodes.iter().copied());
-            for &v in &d.removed_nodes {
-                tombstones.insert(perm.as_ref().map_or(v, |p| p.to_external(v)));
-            }
+        let external = |v: u32| perm.as_ref().map_or(v, |p| p.to_external(v));
+        for d in &applied.deltas {
+            tombstones.extend(d.removed_nodes.iter().map(|&v| external(v)));
             for &(u, v) in &d.inserted {
-                for node in [u, v] {
-                    tombstones.remove(&perm.as_ref().map_or(node, |p| p.to_external(node)));
-                }
+                tombstones.remove(&external(u));
+                tombstones.remove(&external(v));
             }
         }
-        let mut net_ins = Vec::new();
-        let mut net_ins_w = Vec::new();
-        let mut net_del = Vec::new();
-        let mut net_del_w = Vec::new();
-        let mut net_rew = Vec::new();
-        for (&a, &o) in orig.iter() {
-            match (o, present.get(&a)) {
-                (None, Some(&w)) => {
-                    net_ins.push(a);
-                    net_ins_w.push(w);
-                }
-                (Some(w_old), None) => {
-                    net_del.push(a);
-                    net_del_w.push(w_old);
-                }
-                (Some(w_old), Some(&w_new)) if w_old != w_new => {
-                    net_rew.push((a.0, a.1, w_old, w_new));
-                }
-                _ => {} // round trip back to the pre-tail state
-            }
-        }
-        let delta = ArcDelta {
-            inserted: net_ins,
-            inserted_weights: net_ins_w,
-            deleted: net_del,
-            deleted_weights: net_del_w,
-            reweighted: net_rew,
-            nodes_before: n_before,
-            nodes_after: n_after,
-            removed_nodes: removed.into_iter().collect(),
-        };
-        let snapshot = dg.snapshot();
-        let mut engine =
-            Engine::with_structure(&snapshot, Arc::new(CscStructure::build(&snapshot)))
-                .map_err(UpdateError::Solver)?
-                .with_config(config)
-                .map_err(UpdateError::Solver)?;
+        let delta = applied.net;
+        let replayed_batches = tail.len();
+        let graph = dg.graph();
+        let mut engine = Engine::with_structure(graph, Arc::new(CscStructure::build(graph)))
+            .map_err(UpdateError::Solver)?
+            .with_config(config)
+            .map_err(UpdateError::Solver)?;
         engine.set_model(model).map_err(UpdateError::Solver)?;
 
         let mut scratch = PermuteScratch::default();
@@ -1160,8 +1101,9 @@ impl ServingEngine {
         // zero-extend it to the replayed id space, as live ingests do.
         let mut teleport = teleport;
         if let Some(t) = &mut teleport {
-            if t.len() < dg.num_nodes() {
-                t.resize(dg.num_nodes(), 0.0);
+            let n = dg.graph().num_nodes();
+            if t.len() < n {
+                t.resize(n, 0.0);
             }
         }
         // Re-establish the published tombstone invariant: masked to 0.0
@@ -1248,7 +1190,7 @@ impl ServingEngine {
                 if !w.is_finite() || w < 0.0 {
                     return Err(UpdateError::Graph(GraphError::InvalidWeight(w)));
                 }
-                if !self.dg.is_weighted() && w != 1.0 {
+                if !self.dg.graph().is_weighted() && w != 1.0 {
                     return Err(UpdateError::Graph(GraphError::WeightMismatch {
                         graph_weighted: false,
                     }));
@@ -1269,7 +1211,7 @@ impl ServingEngine {
         let Some(state) = &self.state else {
             return Ok(());
         };
-        let undirected = self.dg.direction() == Direction::Undirected;
+        let undirected = self.dg.graph().direction() == Direction::Undirected;
         let mut growth: Vec<(u32, f64)> = Vec::with_capacity(batch.inserts.len());
         for (k, &(u, v)) in batch.inserts.iter().enumerate() {
             let w = batch.insert_weight(k);
@@ -1477,17 +1419,17 @@ impl ServingEngine {
                 }
             }
         }
-        let snapshot = self.dg.snapshot();
+        let graph = self.dg.graph();
         // From here on a failure loses the consumed state; `state` stays
         // `None` and later calls report the poisoning. Every error below
         // is an internal-consistency breach (the delta came from our own
         // `apply_batch`), not a user input.
         let state = self.state.take().expect("checked above");
         let state = match prepatched {
-            Some(csc) => state.patched_with(&snapshot, &applied.delta, csc)?,
-            None => state.patched(&snapshot, &applied.delta)?,
+            Some(csc) => state.patched_with(graph, &applied.delta, csc)?,
+            None => state.patched(graph, &applied.delta)?,
         };
-        let mut engine = Engine::from_state(&snapshot, state).map_err(UpdateError::Solver)?;
+        let mut engine = Engine::from_state(graph, state).map_err(UpdateError::Solver)?;
 
         let back = self.core.begin_write();
         // SAFETY: `&mut self` makes this the single writer; `begin_write`
@@ -1978,10 +1920,10 @@ mod tests {
         let mut snap = Vec::new();
         for round in 0..4u32 {
             let mut batch = EdgeBatch::new();
-            let before = dg.snapshot();
+            let before = dg.graph();
             batch.delete(round, before.neighbors(round)[0]);
             let mut target = 499 - round;
-            while dg.has_arc(round, target) || target == round {
+            while dg.graph().has_arc(round, target) || target == round {
                 target -= 1;
             }
             batch.insert(round, target);
@@ -1989,8 +1931,8 @@ mod tests {
             assert_eq!(refresh.generation, u64::from(round) + 1);
             assert!(refresh.converged);
             dg.apply_batch(&batch).unwrap();
-            let snapshot = dg.snapshot();
-            let cold = pagerank(&snapshot, MODEL, &tight());
+            let snapshot = dg.graph();
+            let cold = pagerank(snapshot, MODEL, &tight());
             assert_eq!(reader.snapshot_into(&mut snap), refresh.generation);
             assert_close(&cold.scores, &snap, 1e-8);
         }
@@ -2031,14 +1973,14 @@ mod tests {
         let g = barabasi_albert(300, 3, 19).unwrap();
         let mut serving = ServingEngine::new(g.clone(), MODEL, tight(), 1).unwrap();
         // Durable state as of generation 0.
-        let snap_graph = serving.delta_graph().snapshot();
+        let snap_graph = serving.delta_graph().graph().clone();
         let mut snap_scores = Vec::new();
         let snap_gen = serving.reader().snapshot_into(&mut snap_scores);
         // Three non-edges of the evolving graph become the log tail.
         let mut tail = Vec::new();
         for round in 0..3u32 {
             let mut target = 299 - round;
-            while serving.delta_graph().has_arc(round, target) || target == round {
+            while serving.delta_graph().graph().has_arc(round, target) || target == round {
                 target -= 1;
             }
             let mut batch = EdgeBatch::new();
@@ -2107,7 +2049,7 @@ mod tests {
         let g = barabasi_albert(250, 3, 29).unwrap();
         let mut serving =
             ServingEngine::with_layout(g, Layout::DegreeDescending, None, MODEL, tight()).unwrap();
-        let snap_graph = serving.delta_graph().snapshot(); // solver order
+        let snap_graph = serving.delta_graph().graph().clone(); // solver order
         let perm = serving.permutation().cloned();
         assert!(perm.is_some());
         let mut snap_scores = Vec::new();
@@ -2118,6 +2060,7 @@ mod tests {
         let mut target = 249u32;
         while serving
             .delta_graph()
+            .graph()
             .has_arc(p.to_internal(0), p.to_internal(target))
             || target == 0
         {
@@ -2187,7 +2130,7 @@ mod tests {
         assert_eq!(out.reweighted_arcs, 1);
         assert_eq!(out.inserted_arcs, 1);
         // Served scores match a cold solve of the evolved weighted graph.
-        let evolved = serving.delta_graph().snapshot();
+        let evolved = serving.delta_graph().graph().clone();
         let mut engine = Engine::new(&evolved).with_config(tight()).unwrap();
         engine.set_model(MODEL).unwrap();
         let direct = engine.solve().unwrap();
@@ -2256,10 +2199,10 @@ mod tests {
         for b in [&b1, &b2, &b3] {
             dg.apply_batch(b).unwrap();
         }
-        let snap = dg.snapshot();
+        let snap = dg.graph();
         let mut grown_t = t.clone();
         grown_t.resize(82, 0.0);
-        let mut engine = Engine::new(&snap).with_config(tight()).unwrap();
+        let mut engine = Engine::new(snap).with_config(tight()).unwrap();
         engine.set_model(MODEL).unwrap();
         let mut cold = engine.solve_with_teleport(Some(&grown_t)).unwrap().scores;
         cold[2] = 0.0;
@@ -2313,8 +2256,8 @@ mod tests {
         // And the refreshed views still match direct solves on the new graph.
         let mut dg = DeltaGraph::new(g).unwrap();
         dg.apply_batch(&batch).unwrap();
-        let g2 = dg.snapshot();
-        let mut engine2 = Engine::new(&g2).with_config(tight()).unwrap();
+        let g2 = dg.graph();
+        let mut engine2 = Engine::new(g2).with_config(tight()).unwrap();
         engine2.set_model(MODEL).unwrap();
         for (key, t) in teleports.iter().enumerate() {
             let direct = engine2.solve_with_teleport(Some(t)).unwrap();
@@ -2511,7 +2454,7 @@ mod tests {
             let mut batch = EdgeBatch::new();
             let src = n / 2 + (round * 13) % (n / 2);
             let mut dst = (round * 37 + 101) % n;
-            while serving.delta_graph().has_arc(src, dst) || dst == src {
+            while serving.delta_graph().graph().has_arc(src, dst) || dst == src {
                 dst = (dst + 1) % n;
             }
             batch.insert(src, dst);
@@ -2558,6 +2501,7 @@ mod tests {
             while dst == src
                 || serving
                     .delta_graph()
+                    .graph()
                     .has_arc(p.to_internal(src), p.to_internal(dst))
             {
                 dst = (dst + 1) % 400;

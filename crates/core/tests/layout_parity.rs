@@ -231,7 +231,7 @@ proptest! {
             // Mirror the batch onto the external-order tracker.
             let mut dg = d2pr_graph::delta::DeltaGraph::new(external).expect("unweighted");
             dg.apply_batch(&batch).expect("valid batch");
-            external = dg.snapshot();
+            external = dg.graph().clone();
         }
     }
 }

@@ -71,7 +71,7 @@ fn build_batches(raw: &[Vec<RawOp>], mirror: &mut DeltaGraph) -> Vec<EdgeBatch> 
         let mut b = EdgeBatch::new();
         let mut grown = 0u32;
         for &(kind, u, v, w) in ops {
-            let n = mirror.num_nodes() as u32 + grown;
+            let n = mirror.graph().num_nodes() as u32 + grown;
             let (u, v) = (u % n, v % n);
             match kind {
                 0 => {
@@ -109,14 +109,13 @@ fn assert_incremental_matches_cold(
     config: PageRankConfig,
     teleport: Option<Vec<f64>>,
 ) -> Result<(), TestCaseError> {
-    let mut snapshot = base.clone();
     let mut dg = DeltaGraph::new(base).expect("weighted base");
     let mut teleport = teleport;
     let (mut prev, mut state);
     let mut next = Vec::new();
     let mut touched = TouchedSet::new();
     {
-        let mut engine = Engine::new(&snapshot)
+        let mut engine = Engine::new(dg.graph())
             .with_config(config)
             .expect("validated config");
         engine.set_model(model).expect("validated model");
@@ -128,16 +127,16 @@ fn assert_incremental_matches_cold(
     }
     for (i, batch) in batches.iter().enumerate() {
         let outcome = dg.apply_batch(batch).expect("pre-validated batch");
-        let new_snapshot = dg.snapshot();
+        let graph = dg.graph();
         state = state
-            .patched(&new_snapshot, &outcome.delta)
+            .patched(graph, &outcome.delta)
             .expect("patched transpose");
-        let mut engine = Engine::from_state(&new_snapshot, state).expect("rebound engine");
+        let mut engine = Engine::from_state(graph, state).expect("rebound engine");
         // Arrivals start unranked with zero personalization mass — the
         // serving layer's growth rule.
-        prev.resize(new_snapshot.num_nodes(), 0.0);
+        prev.resize(graph.num_nodes(), 0.0);
         if let Some(t) = &mut teleport {
-            t.resize(new_snapshot.num_nodes(), 0.0);
+            t.resize(graph.num_nodes(), 0.0);
         }
         let inc = engine
             .resolve_incremental_tracked(
@@ -164,9 +163,7 @@ fn assert_incremental_matches_cold(
         );
         std::mem::swap(&mut prev, &mut next);
         state = engine.into_state();
-        snapshot = new_snapshot;
     }
-    let _ = &snapshot;
     Ok(())
 }
 
@@ -239,7 +236,7 @@ proptest! {
             let mut b = EdgeBatch::new();
             let mut grown = 0u32;
             for &(kind, u, v, w) in ops {
-                let n = dg.num_nodes() as u32 + grown;
+                let n = dg.graph().num_nodes() as u32 + grown;
                 let (u, v) = (u % n, v % n);
                 match kind {
                     0 if plain => {
@@ -307,11 +304,11 @@ fn single_edge_reweight_refresh(tolerance: f64) -> (ResolveMode, usize, f64) {
     batch.set_weight(10, 11, 3.25);
     let outcome = dg.apply_batch(&batch).expect("single re-weight");
     assert_eq!(outcome.delta.reweighted.len(), 2, "both mirrored arcs");
-    let snapshot = dg.snapshot();
+    let snapshot = dg.graph();
     let state = state
-        .patched(&snapshot, &outcome.delta)
+        .patched(snapshot, &outcome.delta)
         .expect("patched transpose");
-    let mut engine = Engine::from_state(&snapshot, state).expect("rebound engine");
+    let mut engine = Engine::from_state(snapshot, state).expect("rebound engine");
     let inc = engine
         .resolve_localized(&prev, &outcome.delta)
         .expect("localized refresh");

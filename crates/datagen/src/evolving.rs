@@ -192,7 +192,7 @@ impl EvolvingRatingsConfig {
             let batch = self.sample_batch(&mut dg, &mut pop, &mut memberships, &mut rng)?;
             batches.push(batch);
         }
-        let final_nodes = dg.num_nodes();
+        let final_nodes = dg.graph().num_nodes();
         Ok(EvolvingRatings {
             base,
             batches,
@@ -238,7 +238,7 @@ impl EvolvingRatingsConfig {
 
         // Arrivals: ids extend the current id space; each newcomer is
         // wired to up to three live counterparts immediately.
-        let first_id = dg.num_nodes() as NodeId;
+        let first_id = dg.graph().num_nodes() as NodeId;
         for a in 0..self.arrivals_per_batch {
             batch.add_nodes(1);
             let id = first_id + a as NodeId;
@@ -274,7 +274,7 @@ impl EvolvingRatingsConfig {
             attempts -= 1;
             let e = pop.entities[rng.gen_range(0..pop.entities.len())];
             let c = pop.containers[rng.gen_range(0..pop.containers.len())];
-            if !dg.has_arc(e, c) && pending.insert(norm(e, c)) {
+            if !dg.graph().has_arc(e, c) && pending.insert(norm(e, c)) {
                 self.rate(&mut batch, pop, e, c, rng);
                 memberships.push((e, c));
                 fresh += 1;
@@ -387,8 +387,8 @@ mod tests {
         for b in &w.batches {
             dg.apply_batch(b).unwrap();
         }
-        assert_eq!(dg.num_nodes(), w.final_nodes);
-        let snap = dg.snapshot();
+        assert_eq!(dg.graph().num_nodes(), w.final_nodes);
+        let snap = dg.graph();
         assert!(snap.is_weighted());
         assert!(snap.num_arcs() > 0);
     }

@@ -84,7 +84,7 @@ pub fn churn_stream(
                 // Normalize before the dedup checks: inserts are stored as
                 // (min, max), so the membership test must use that form.
                 let e = (u.min(v), u.max(v));
-                if u != v && !dg.has_arc(e.0, e.1) && !batch.inserts.contains(&e) {
+                if u != v && !dg.graph().has_arc(e.0, e.1) && !batch.inserts.contains(&e) {
                     batch.insert(e.0, e.1);
                     edges.push(e);
                     break;
@@ -197,8 +197,6 @@ pub struct BatchStep {
     pub grown_nodes: u32,
     /// Nodes tombstoned by this batch (0 without node churn).
     pub removed_nodes: usize,
-    /// Whether the overlay was compacted at the end of this batch.
-    pub compacted: bool,
     /// Iterations of the cold re-solve (teleport start).
     pub cold_iterations: usize,
     /// Iterations of the warm re-solve (previous-rank start); counts
@@ -318,12 +316,11 @@ pub fn run_evolving(cfg: &EvolvingConfig) -> Result<EvolvingReport, UpdateError>
     };
     let initial_arcs = g0.num_arcs();
 
-    let mut snapshot = g0.clone();
     let mut dg = DeltaGraph::new(g0)?;
     let (initial_iterations, mut prev_scores, mut state);
     {
-        let csc = std::sync::Arc::new(CscStructure::build(&snapshot));
-        let mut engine = Engine::with_structure(&snapshot, csc)?.with_config(solver)?;
+        let csc = std::sync::Arc::new(CscStructure::build(dg.graph()));
+        let mut engine = Engine::with_structure(dg.graph(), csc)?.with_config(solver)?;
         engine.set_model(model)?;
         let r = engine.solve()?;
         initial_iterations = r.iterations;
@@ -334,15 +331,15 @@ pub fn run_evolving(cfg: &EvolvingConfig) -> Result<EvolvingReport, UpdateError>
     let mut steps = Vec::with_capacity(cfg.batches);
     for (i, batch) in stream.iter().enumerate() {
         let b = i + 1;
-        // The incremental serving pipeline: batch -> snapshot -> patched
+        // The incremental serving pipeline: batch -> patched graph -> patched
         // engine state (no O(E) rebuild) -> strategy-selected re-solve.
         let outcome = dg.apply_batch(batch)?;
-        let new_snapshot = dg.snapshot();
-        state = state.patched(&new_snapshot, &outcome.delta)?;
-        let mut engine = Engine::from_state(&new_snapshot, state)?;
+        let graph = dg.graph();
+        state = state.patched(graph, &outcome.delta)?;
+        let mut engine = Engine::from_state(graph, state)?;
         // Node-growth batches: fresh ids start unranked; extend the warm
         // start so every mode (including the plain sweep) accepts it.
-        prev_scores.resize(new_snapshot.num_nodes(), 0.0);
+        prev_scores.resize(graph.num_nodes(), 0.0);
         let warm = match cfg.mode {
             RefreshMode::Sweep => d2pr_core::engine::IncrementalOutcome {
                 result: engine.resolve_warm(&prev_scores)?,
@@ -364,7 +361,6 @@ pub fn run_evolving(cfg: &EvolvingConfig) -> Result<EvolvingReport, UpdateError>
             reweighted_arcs: outcome.delta.reweighted.len(),
             grown_nodes: outcome.delta.added_nodes(),
             removed_nodes: outcome.delta.removed_nodes.len(),
-            compacted: outcome.compacted,
             cold_iterations: cold.iterations,
             warm_iterations: warm.result.iterations,
             mode_used: warm.mode,
@@ -374,9 +370,7 @@ pub fn run_evolving(cfg: &EvolvingConfig) -> Result<EvolvingReport, UpdateError>
         });
         prev_scores = warm.result.scores;
         state = engine.into_state();
-        snapshot = new_snapshot;
     }
-    let _ = &snapshot; // last snapshot kept alive until the engine is gone
 
     Ok(EvolvingReport {
         nodes: cfg.nodes,
@@ -395,7 +389,6 @@ pub fn evolving_report(r: &EvolvingReport) -> TextTable {
         "rew",
         "+nodes",
         "-nodes",
-        "compact",
         "mode",
         "frontier",
         "cold_iters",
@@ -411,7 +404,6 @@ pub fn evolving_report(r: &EvolvingReport) -> TextTable {
             s.reweighted_arcs.to_string(),
             s.grown_nodes.to_string(),
             s.removed_nodes.to_string(),
-            if s.compacted { "yes" } else { "" }.to_string(),
             s.mode_used.label().to_string(),
             s.frontier.to_string(),
             s.cold_iterations.to_string(),
@@ -422,7 +414,6 @@ pub fn evolving_report(r: &EvolvingReport) -> TextTable {
     }
     t.push_row(vec![
         "total".to_string(),
-        String::new(),
         String::new(),
         String::new(),
         String::new(),

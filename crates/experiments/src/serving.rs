@@ -326,7 +326,9 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
                 let mut node = r as u32;
                 let mut shard = r;
                 let mut local_ranked = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                // At least one block per reader, however fast the stream
+                // finishes.
+                loop {
                     for _ in 0..32 {
                         node = node.wrapping_mul(1_664_525).wrapping_add(1_013_904_223) % n;
                         shard = (shard + 1) % readers.len();
@@ -343,6 +345,9 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
                     reads.fetch_add(32, Ordering::Relaxed);
                     ranked.fetch_add(local_ranked, Ordering::Relaxed);
                     local_ranked = 0;
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
             });
         }

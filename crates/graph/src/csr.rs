@@ -11,7 +11,9 @@
 //! Undirected graphs are stored as symmetric directed graphs (every edge
 //! appears as two arcs); [`CsrGraph::num_edges`] accounts for that.
 
+use crate::delta::ArcDelta;
 use crate::error::{GraphError, Result};
+use std::ops::Range;
 
 /// Node identifier. Dense, `0..n`.
 pub type NodeId = u32;
@@ -40,6 +42,10 @@ pub struct CsrGraph {
     /// In-degree per node (number of arcs pointing at the node). For
     /// undirected graphs this equals the out-degree.
     in_degrees: Vec<u32>,
+    /// Every row is sorted ascending, so arc lookups binary-search.
+    /// Computed once in [`CsrGraph::from_csr`]; the builder, the
+    /// permutation and [`CsrGraph::patched`] always produce sorted rows.
+    sorted: bool,
 }
 
 impl CsrGraph {
@@ -92,12 +98,14 @@ impl CsrGraph {
         for &t in &targets {
             in_degrees[t as usize] += 1;
         }
+        let sorted = rows_sorted(&offsets, &targets);
         Ok(Self {
             direction,
             offsets,
             targets,
             weights,
             in_degrees,
+            sorted,
         })
     }
 
@@ -213,28 +221,32 @@ impl CsrGraph {
         })
     }
 
-    /// `true` when an arc `u -> v` exists. `O(log deg(u))` when the adjacency
-    /// is sorted (builder output always is), `O(deg(u))` otherwise.
+    /// `true` when an arc `u -> v` exists (`false` for a `u` out of
+    /// range). `O(log deg(u))` when the rows are sorted (every graph this
+    /// crate builds), `O(deg(u))` otherwise.
     pub fn has_arc(&self, u: NodeId, v: NodeId) -> bool {
-        let ns = self.neighbors(u);
-        if ns.windows(2).all(|w| w[0] <= w[1]) {
-            ns.binary_search(&v).is_ok()
-        } else {
-            ns.contains(&v)
-        }
+        self.arc_index(u, v).is_some()
     }
 
     /// Weight of arc `u -> v`, or `None` when the arc is absent. Unweighted
-    /// graphs report 1.0 for every present arc. `O(log deg(u))` on sorted
-    /// adjacency (builder output always is).
+    /// graphs report 1.0 for every present arc. Costs as
+    /// [`CsrGraph::has_arc`].
     pub fn arc_weight(&self, u: NodeId, v: NodeId) -> Option<f64> {
-        let ns = self.neighbors(u);
-        let k = if ns.windows(2).all(|w| w[0] <= w[1]) {
-            ns.binary_search(&v).ok()?
-        } else {
-            ns.iter().position(|&t| t == v)?
-        };
+        let k = self.arc_index(u, v)?;
         Some(self.neighbor_weights(u).map_or(1.0, |ws| ws[k]))
+    }
+
+    /// Position of `v` in `u`'s row.
+    fn arc_index(&self, u: NodeId, v: NodeId) -> Option<usize> {
+        if u as usize >= self.num_nodes() {
+            return None;
+        }
+        let ns = self.neighbors(u);
+        if self.sorted {
+            ns.binary_search(&v).ok()
+        } else {
+            ns.iter().position(|&t| t == v)
+        }
     }
 
     /// Nodes with no out-arcs ("dangling" nodes in PageRank terms).
@@ -270,6 +282,7 @@ impl CsrGraph {
             targets: self.targets.clone(),
             weights: None,
             in_degrees: self.in_degrees.clone(),
+            sorted: self.sorted,
         }
     }
 
@@ -284,11 +297,255 @@ impl CsrGraph {
         (&self.offsets, &self.targets, self.weights.as_deref())
     }
 
+    /// Incremental maintenance: the graph `delta` leads to, derived from
+    /// this one instead of rebuilt — the out-adjacency twin of
+    /// [`CscStructure::patched`](crate::transpose::CscStructure::patched).
+    ///
+    /// * every run of sources the delta does not name is one span copy:
+    ///   one `extend_from_slice` of its targets (and weights), its row
+    ///   ends shifted by a constant;
+    /// * each source the delta names (inserted, deleted and re-weighted
+    ///   arcs) merges its old row with its edits;
+    /// * in-degrees are copied and adjusted once per inserted or deleted
+    ///   arc; ids added by growth start at zero.
+    ///
+    /// No `O(E)` validation or in-degree recount runs: the cost is the
+    /// sequential copies plus `O(Δ)` merge work at the edited rows. The
+    /// result equals a fresh build of the post-delta arc list
+    /// (property-tested in `tests/delta_props.rs`).
+    ///
+    /// # Errors
+    /// [`GraphError::Snapshot`] when the delta does not apply to this
+    /// graph: its node counts disagree, an arc list is not strictly sorted
+    /// by `(source, target)`, an arc is out of range, a deleted or
+    /// re-weighted arc is absent (or named by both lists), or an inserted
+    /// arc is already present. [`GraphError::InvalidWeight`] for a new
+    /// weight that is not finite and non-negative on a weighted graph.
+    /// The checks assume simple-graph semantics (no parallel arcs among
+    /// edited pairs), which [`DeltaGraph`](crate::delta::DeltaGraph)
+    /// guarantees.
+    pub fn patched(&self, delta: &ArcDelta) -> Result<CsrGraph> {
+        let n = self.num_nodes();
+        if delta.nodes_before as usize != n || delta.nodes_after < delta.nodes_before {
+            return Err(GraphError::Snapshot(format!(
+                "patched: delta spans {} -> {} nodes but the graph has {n}",
+                delta.nodes_before, delta.nodes_after
+            )));
+        }
+        let n_new = delta.nodes_after as usize;
+        if delta.inserted_weights.len() != delta.inserted.len() {
+            return Err(GraphError::Snapshot(
+                "patched: inserted weights must parallel inserted arcs".into(),
+            ));
+        }
+        let rew: Vec<(NodeId, NodeId)> = delta
+            .reweighted
+            .iter()
+            .map(|&(s, t, _, _)| (s, t))
+            .collect();
+        for arcs in [&delta.inserted, &delta.deleted, &rew] {
+            if arcs.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(GraphError::Snapshot(
+                    "patched: delta arcs must be strictly sorted by (source, target)".into(),
+                ));
+            }
+            if let Some(&(s, t)) = arcs
+                .iter()
+                .find(|&&(s, t)| s as usize >= n_new || t as usize >= n_new)
+            {
+                return Err(GraphError::Snapshot(format!(
+                    "patched: delta arc {s} -> {t} is out of range for {n_new} nodes"
+                )));
+            }
+        }
+        let weighted = self.weights.is_some();
+        if weighted {
+            let rew_weights = delta.reweighted.iter().map(|r| &r.3);
+            let mut new_weights = delta.inserted_weights.iter().chain(rew_weights);
+            if let Some(&bad) = new_weights.find(|w| !w.is_finite() || **w < 0.0) {
+                return Err(GraphError::InvalidWeight(bad));
+            }
+        }
+        let m = (self.num_arcs() + delta.inserted.len())
+            .checked_sub(delta.deleted.len())
+            .ok_or_else(|| GraphError::Snapshot("patched: delta deletes too many arcs".into()))?;
+
+        let mut offsets = Vec::with_capacity(n_new + 1);
+        offsets.push(0usize);
+        let mut targets: Vec<NodeId> = Vec::with_capacity(m);
+        let mut weights: Option<Vec<f64>> = weighted.then(|| Vec::with_capacity(m));
+        let (mut ii, mut di, mut ri) = (0usize, 0usize, 0usize);
+        let mut next = 0usize;
+        let mut row: Vec<(NodeId, f64)> = Vec::new();
+        loop {
+            let edited = [delta.inserted.get(ii), delta.deleted.get(di), rew.get(ri)]
+                .into_iter()
+                .flatten()
+                .map(|&(s, _)| s)
+                .min();
+            let stop = edited.map_or(n_new, |s| s as usize);
+            copy_rows(
+                (&self.offsets, &self.targets, self.weights.as_deref()),
+                next..stop.min(n),
+                (&mut offsets, &mut targets, weights.as_mut()),
+            );
+            // Grown ids the delta does not name stay isolated.
+            offsets.resize(
+                offsets.len() + stop.saturating_sub(next.max(n)),
+                targets.len(),
+            );
+            let Some(s) = edited else { break };
+            let ins_end = ii + delta.inserted[ii..].iter().take_while(|a| a.0 == s).count();
+            let del_end = di + delta.deleted[di..].iter().take_while(|a| a.0 == s).count();
+            let rew_end = ri + rew[ri..].iter().take_while(|a| a.0 == s).count();
+            // The old row as (target, weight) pairs, sorted for the merge.
+            row.clear();
+            if (s as usize) < n {
+                let ws = self.neighbor_weights(s);
+                let ts = self.neighbors(s).iter().enumerate();
+                row.extend(ts.map(|(k, &t)| (t, ws.map_or(1.0, |w| w[k]))));
+                if !self.sorted {
+                    row.sort_by_key(|&(t, _)| t);
+                }
+            }
+            merge_row(
+                row.iter().copied(),
+                delta.inserted[ii..ins_end]
+                    .iter()
+                    .zip(&delta.inserted_weights[ii..ins_end])
+                    .map(|(&(_, t), &w)| (t, w)),
+                delta.deleted[di..del_end].iter().map(|&(_, t)| t),
+                delta.reweighted[ri..rew_end]
+                    .iter()
+                    .map(|&(_, t, _, w)| (t, w)),
+                |t, w| {
+                    targets.push(t);
+                    if let Some(ws) = weights.as_mut() {
+                        ws.push(w);
+                    }
+                },
+            )
+            .map_err(|why| GraphError::Snapshot(format!("patched: row of source {s}: {why}")))?;
+            offsets.push(targets.len());
+            (ii, di, ri) = (ins_end, del_end, rew_end);
+            next = s as usize + 1;
+        }
+        debug_assert_eq!(targets.len(), m);
+
+        let mut in_degrees = Vec::with_capacity(n_new);
+        in_degrees.extend_from_slice(&self.in_degrees);
+        in_degrees.resize(n_new, 0);
+        for &(_, t) in &delta.inserted {
+            in_degrees[t as usize] += 1;
+        }
+        for &(_, t) in &delta.deleted {
+            in_degrees[t as usize] -= 1;
+        }
+        // Merged rows come out sorted; untouched rows keep their order.
+        let sorted = self.sorted || rows_sorted(&offsets, &targets);
+        Ok(CsrGraph {
+            direction: self.direction,
+            offsets,
+            targets,
+            weights,
+            in_degrees,
+            sorted,
+        })
+    }
+
     #[inline]
     fn range(&self, v: NodeId) -> (usize, usize) {
         let v = v as usize;
         (self.offsets[v], self.offsets[v + 1])
     }
+}
+
+/// `true` when every row of a CSR array is sorted ascending.
+fn rows_sorted(offsets: &[usize], targets: &[NodeId]) -> bool {
+    offsets
+        .windows(2)
+        .all(|w| targets[w[0]..w[1]].windows(2).all(|p| p[0] <= p[1]))
+}
+
+/// Append rows `rows` of a CSR-shaped array (`offsets` over `values`, with
+/// optional parallel `weights`) to the output arrays as one span copy: one
+/// `extend_from_slice` of the values and of the weights, and the row ends
+/// shifted by a constant. Used by both incremental patches
+/// ([`CsrGraph::patched`] and
+/// [`CscStructure::patched`](crate::transpose::CscStructure::patched)).
+pub(crate) fn copy_rows(
+    (offsets, values, weights): (&[usize], &[NodeId], Option<&[f64]>),
+    rows: Range<usize>,
+    (out_offsets, out_values, out_weights): (
+        &mut Vec<usize>,
+        &mut Vec<NodeId>,
+        Option<&mut Vec<f64>>,
+    ),
+) {
+    if rows.start >= rows.end {
+        return;
+    }
+    let (lo, hi) = (offsets[rows.start], offsets[rows.end]);
+    let base = out_values.len();
+    out_values.extend_from_slice(&values[lo..hi]);
+    if let (Some(out), Some(w)) = (out_weights, weights) {
+        out.extend_from_slice(&w[lo..hi]);
+    }
+    out_offsets.extend(
+        offsets[rows.start + 1..=rows.end]
+            .iter()
+            .map(|&o| o - lo + base),
+    );
+}
+
+/// Merge one row of a CSR-shaped array — a source's targets, or a
+/// destination's sources in the transpose — given as ascending
+/// `(neighbor, weight)` pairs, with its edits, each ascending by neighbor:
+/// `inserts` and `reweights` as `(neighbor, new weight)`, `deletes` as
+/// neighbors. Emits the surviving entries in ascending order; returns why
+/// the edits do not fit the row (an inserted entry already present, a
+/// deleted or re-weighted entry absent or named twice).
+pub(crate) fn merge_row(
+    old: impl Iterator<Item = (NodeId, f64)>,
+    inserts: impl Iterator<Item = (NodeId, f64)>,
+    deletes: impl Iterator<Item = NodeId>,
+    reweights: impl Iterator<Item = (NodeId, f64)>,
+    mut emit: impl FnMut(NodeId, f64),
+) -> std::result::Result<(), String> {
+    let mut ins = inserts.peekable();
+    let mut del = deletes.peekable();
+    let mut rew = reweights.peekable();
+    for (t, w) in old {
+        while let Some((it, iw)) = ins.next_if(|&(it, _)| it < t) {
+            emit(it, iw);
+        }
+        if ins.peek().is_some_and(|&(it, _)| it == t) {
+            return Err(format!("inserted entry {t} is already present"));
+        }
+        if let Some(&d) = del.peek().filter(|&&d| d < t) {
+            return Err(format!("deleted entry {d} is absent"));
+        }
+        if let Some(&(r, _)) = rew.peek().filter(|&&(r, _)| r < t) {
+            return Err(format!("re-weighted entry {r} is absent"));
+        }
+        let deleted = del.next_if_eq(&t).is_some();
+        match rew.next_if(|&(r, _)| r == t) {
+            Some(_) if deleted => return Err(format!("entry {t} is both deleted and re-weighted")),
+            Some((_, nw)) => emit(t, nw),
+            None if !deleted => emit(t, w),
+            None => {}
+        }
+    }
+    for (it, iw) in ins {
+        emit(it, iw);
+    }
+    if let Some(d) = del.next() {
+        return Err(format!("deleted entry {d} is absent"));
+    }
+    if let Some((r, _)) = rew.next() {
+        return Err(format!("re-weighted entry {r} is absent"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -364,6 +621,99 @@ mod tests {
         assert!(g.has_arc(1, 0));
         assert!(g.has_arc(1, 2));
         assert!(!g.has_arc(0, 2));
+        // Sources past the id space have no arcs.
+        assert!(!g.has_arc(7, 0));
+        assert_eq!(g.arc_weight(7, 0), None);
+    }
+
+    #[test]
+    fn unsorted_rows_still_answer_lookups() {
+        // Row 0 is [3, 1, 2]: a raw CSR array (as a snapshot file may
+        // hold) need not be sorted.
+        let g = CsrGraph::from_csr(
+            Direction::Directed,
+            vec![0, 3, 3, 3, 4],
+            vec![3, 1, 2, 0],
+            Some(vec![0.5, 1.5, 2.5, 4.0]),
+        )
+        .expect("valid");
+        assert!(!g.sorted);
+        for (t, w) in [(3, 0.5), (1, 1.5), (2, 2.5)] {
+            assert!(g.has_arc(0, t));
+            assert_eq!(g.arc_weight(0, t), Some(w));
+        }
+        assert!(!g.has_arc(0, 0));
+        assert_eq!(g.arc_weight(3, 0), Some(4.0));
+        assert!(path3().sorted);
+    }
+
+    /// A delta naming `inserted` (weight 1) and `deleted` on a graph of
+    /// `n` nodes.
+    fn delta(n: u32, inserted: &[(u32, u32)], deleted: &[(u32, u32)]) -> ArcDelta {
+        ArcDelta {
+            inserted: inserted.to_vec(),
+            inserted_weights: vec![1.0; inserted.len()],
+            deleted: deleted.to_vec(),
+            deleted_weights: vec![1.0; deleted.len()],
+            nodes_before: n,
+            nodes_after: n,
+            ..ArcDelta::default()
+        }
+    }
+
+    #[test]
+    fn patched_sorts_an_unsorted_edited_row() {
+        let g = CsrGraph::from_csr(Direction::Directed, vec![0, 2, 2, 2], vec![2, 1], None)
+            .expect("valid");
+        let p = g.patched(&delta(3, &[(0, 0)], &[(0, 2)])).expect("applies");
+        let fresh = CsrGraph::from_csr(Direction::Directed, vec![0, 2, 2, 2], vec![0, 1], None)
+            .expect("valid");
+        assert_eq!(p, fresh);
+    }
+
+    #[test]
+    fn patched_rejects_malformed_deltas() {
+        let g = path3(); // arcs 0->1, 1->0, 1->2, 2->1
+        let bad = [
+            delta(4, &[], &[]),               // wrong node count
+            delta(3, &[(0, 2), (0, 1)], &[]), // unsorted list
+            delta(3, &[(0, 5)], &[]),         // out of range
+            delta(3, &[(0, 1)], &[]),         // inserted arc present
+            delta(3, &[], &[(0, 2)]),         // deleted arc absent
+            delta(3, &[], &[(2, 1), (2, 1)]), // deleted twice
+            ArcDelta {
+                reweighted: vec![(2, 0, 1.0, 2.0)], // re-weighted arc absent
+                ..delta(3, &[], &[])
+            },
+            ArcDelta {
+                inserted_weights: vec![],
+                ..delta(3, &[(0, 2)], &[])
+            },
+        ];
+        for d in &bad {
+            assert!(
+                matches!(g.patched(d), Err(GraphError::Snapshot(_))),
+                "{d:?} must be rejected"
+            );
+        }
+        let weighted =
+            CsrGraph::from_csr(Direction::Directed, vec![0, 1, 1], vec![1], Some(vec![2.0]))
+                .expect("valid");
+        let d = ArcDelta {
+            reweighted: vec![(0, 1, 2.0, f64::NAN)],
+            ..delta(2, &[], &[])
+        };
+        assert!(matches!(
+            weighted.patched(&d),
+            Err(GraphError::InvalidWeight(_))
+        ));
+        let d = ArcDelta {
+            deleted: vec![(0, 1)],
+            deleted_weights: vec![2.0],
+            reweighted: vec![(0, 1, 2.0, 3.0)],
+            ..delta(2, &[], &[])
+        };
+        assert!(matches!(weighted.patched(&d), Err(GraphError::Snapshot(_))));
     }
 
     #[test]

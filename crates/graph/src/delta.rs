@@ -1,36 +1,32 @@
-//! Incremental graph updates: a delta overlay over an immutable [`CsrGraph`].
+//! Incremental graph updates: one [`CsrGraph`] patched from each batch's
+//! effective delta.
 //!
-//! [`CsrGraph`] is deliberately immutable — every solver in the workspace
-//! leans on its frozen layout. A serving system, however, receives edge
-//! insertions, deletions, weight changes, and node churn continuously and
-//! cannot afford a full builder-path rebuild (edge soup, counting sort,
-//! per-node sort, dedup) on every change. [`DeltaGraph`] closes the gap with
-//! the classic append/tombstone design:
+//! A serving system receives edge insertions, deletions, weight changes,
+//! and node churn continuously and cannot afford a full builder-path
+//! rebuild (edge soup, counting sort, per-node sort, dedup) on every
+//! change. [`DeltaGraph`] keeps the evolving graph as one CSR and patches
+//! it per batch:
 //!
-//! * a **base** CSR snapshot (immutable, shared with every reader);
-//! * an **overlay** of pending arc insertions (with weights), deletions
-//!   (tombstones), weight overrides for live base arcs, and a count of
-//!   appended nodes, kept as ordered maps so membership tests and per-source
-//!   merges stay logarithmic/linear;
-//! * [`DeltaGraph::apply_batch`] — apply a batch of edits, reporting the
-//!   *effective* arc-level delta (no-ops removed, undirected edges
-//!   mirrored, pre-batch weights recorded) so downstream caches
-//!   ([`CscStructure`]) can be patched instead of rebuilt;
-//! * **compaction** — once the overlay exceeds a configurable fraction of
-//!   the base arc count, the overlay is folded into a fresh base CSR by a
-//!   per-source merge (no builder round-trip), keeping amortized cost per
-//!   mutated arc constant. See `DESIGN.md` for the threshold rationale.
+//! * [`DeltaGraph::apply_batch`] validates a batch, computes its
+//!   *effective* arc-level delta against the graph by binary search (no-ops
+//!   removed, undirected edges mirrored, pre-batch weights recorded), and
+//!   patches the graph once from that delta ([`CsrGraph::patched`]: span
+//!   copies of every untouched run of sources, a merge at the edited ones).
+//!   Downstream caches ([`CscStructure`]) patch from the same delta instead
+//!   of rebuilding;
+//! * [`DeltaGraph::apply_batches`] applies a run of batches (a recovery
+//!   log tail) with one patch from their net delta, reporting each batch's
+//!   own delta as well.
 //!
 //! # Weight reconciliation
 //!
-//! On a weighted base, **re-inserting a present arc replaces its weight**
+//! On a weighted graph, **re-inserting a present arc replaces its weight**
 //! ([`EdgeBatch::insert_weighted`] / [`EdgeBatch::set_weight`] are the same
-//! operation): the overlay records the override and the batch outcome
-//! reports it in [`ArcDelta::reweighted`] with both the pre-batch and the
-//! new weight, so solvers can reconstruct the pre-batch operator exactly.
-//! Unweighted bases accept only weight-1 edits (anything else fails typed
-//! with [`GraphError::WeightMismatch`]); weighted bases accept plain
-//! [`EdgeBatch::insert`] as weight-1 inserts.
+//! operation): the batch outcome reports it in [`ArcDelta::reweighted`]
+//! with both the pre-batch and the new weight, so solvers can reconstruct
+//! the pre-batch operator exactly. Unweighted graphs accept only weight-1
+//! edits (anything else fails typed with [`GraphError::WeightMismatch`]);
+//! weighted graphs accept plain [`EdgeBatch::insert`] as weight-1 inserts.
 //!
 //! # Node churn
 //!
@@ -42,15 +38,11 @@
 //! serving layer zeroes its teleport mass and evicts it from ranked
 //! indexes. Re-adding arcs at a tombstoned id resurrects it.
 //!
-//! The logical graph is always `(base ∖ deletes) ∪ inserts` with overlay
-//! weights taking precedence; [`DeltaGraph::snapshot`] materializes it as a
-//! plain [`CsrGraph`] for the solver stack.
-//!
 //! [`CscStructure`]: crate::transpose::CscStructure
 
 use crate::csr::{CsrGraph, Direction, NodeId};
 use crate::error::{GraphError, Result};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A batch of logical edge and node edits to apply in one
 /// [`DeltaGraph::apply_batch`] call. For undirected graphs each edge stands
@@ -323,24 +315,25 @@ impl ArcDelta {
 /// What one [`DeltaGraph::apply_batch`] call did.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchOutcome {
-    /// Effective arc-level change relative to the pre-batch logical graph.
+    /// Effective arc-level change relative to the pre-batch graph.
     pub delta: ArcDelta,
-    /// Whether the overlay crossed the threshold and was compacted into a
-    /// fresh base CSR at the end of the batch.
-    pub compacted: bool,
 }
 
-/// Default overlay-size fraction of the base arc count that triggers
-/// compaction (see `DESIGN.md` for the amortization argument).
-pub const DEFAULT_COMPACTION_FRACTION: f64 = 1.0 / 16.0;
+/// What one [`DeltaGraph::apply_batches`] call did.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct BatchesOutcome {
+    /// Each batch's effective delta relative to the graph the batches
+    /// before it left, in batch order.
+    pub deltas: Vec<ArcDelta>,
+    /// The net delta from the graph before the first batch to the graph
+    /// after the last: cross-batch round trips cancel, an insert followed
+    /// by re-weights is one weighted insert, and a delete followed by a
+    /// re-insert at a new weight is a re-weight.
+    pub net: ArcDelta,
+}
 
-/// Default floor on the compaction threshold, so tiny graphs don't compact
-/// on every batch.
-pub const DEFAULT_COMPACTION_MIN_ARCS: usize = 256;
-
-/// An evolving graph: an immutable CSR base plus an append/tombstone
-/// overlay of arc edits (weighted or structural), weight overrides, and
-/// node growth, with automatic compaction.
+/// An evolving graph: one [`CsrGraph`], patched from each batch's
+/// effective [`ArcDelta`] by span copies ([`CsrGraph::patched`]).
 ///
 /// # Examples
 /// ```
@@ -359,221 +352,123 @@ pub const DEFAULT_COMPACTION_MIN_ARCS: usize = 256;
 /// assert_eq!(outcome.delta.inserted, vec![(2, 3), (3, 2)]);
 /// assert_eq!(outcome.delta.deleted, vec![(0, 1), (1, 0)]);
 ///
-/// let g = dg.snapshot();
+/// let g = dg.graph();
 /// assert!(g.has_arc(2, 3) && g.has_arc(3, 2));
 /// assert!(!g.has_arc(0, 1));
 /// ```
 #[derive(Debug, Clone)]
 pub struct DeltaGraph {
-    base: CsrGraph,
-    /// Arcs present in the logical graph but not live in `base`, with
-    /// their logical weight (1.0 on unweighted bases). Disjoint from
-    /// `deletes`; never contains a live `base` arc.
-    inserts: BTreeMap<(NodeId, NodeId), f64>,
-    /// Tombstoned arcs of `base` (absent from the logical graph).
-    deletes: BTreeSet<(NodeId, NodeId)>,
-    /// Live `base` arcs whose logical weight differs from the stored base
-    /// weight (weighted bases only). Disjoint from `deletes`.
-    reweights: BTreeMap<(NodeId, NodeId), f64>,
-    /// Nodes appended beyond the base's id space (isolated until arcs
-    /// reference them).
-    grown: usize,
-    compaction_fraction: f64,
-    compaction_min_arcs: usize,
+    graph: CsrGraph,
 }
 
 impl DeltaGraph {
-    /// Wrap a base snapshot (weighted or unweighted).
+    /// Start evolving `graph` (weighted or unweighted).
     ///
     /// # Errors
     /// Infallible today; the `Result` is kept for API stability (earlier
-    /// revisions rejected weighted bases here).
-    pub fn new(base: CsrGraph) -> Result<Self> {
-        Ok(Self {
-            base,
-            inserts: BTreeMap::new(),
-            deletes: BTreeSet::new(),
-            reweights: BTreeMap::new(),
-            grown: 0,
-            compaction_fraction: DEFAULT_COMPACTION_FRACTION,
-            compaction_min_arcs: DEFAULT_COMPACTION_MIN_ARCS,
-        })
+    /// revisions rejected weighted graphs here).
+    pub fn new(graph: CsrGraph) -> Result<Self> {
+        Ok(Self { graph })
     }
 
-    /// Override the compaction threshold: the overlay is folded into the
-    /// base once it holds more than `max(min_arcs, fraction · base_arcs)`
-    /// entries. A `fraction` of 0 compacts after every non-empty batch
-    /// (with `min_arcs` 0); `f64::INFINITY` disables auto-compaction.
-    pub fn with_compaction_threshold(mut self, fraction: f64, min_arcs: usize) -> Self {
-        assert!(
-            fraction >= 0.0 && !fraction.is_nan(),
-            "compaction fraction must be non-negative"
-        );
-        self.compaction_fraction = fraction;
-        self.compaction_min_arcs = min_arcs;
-        self
+    /// The current graph.
+    pub fn graph(&self) -> &CsrGraph {
+        &self.graph
     }
 
-    /// The current base snapshot (excludes the overlay).
-    pub fn base(&self) -> &CsrGraph {
-        &self.base
+    /// Consume the delta graph, returning the current graph.
+    pub fn into_graph(self) -> CsrGraph {
+        self.graph
     }
 
-    /// Whether arcs are directed (inherited from the base).
-    pub fn direction(&self) -> Direction {
-        self.base.direction()
+    /// A copy of the current graph (`graph().clone()`), kept for the
+    /// benchmark client; borrow with [`DeltaGraph::graph`] instead.
+    pub fn snapshot(&self) -> CsrGraph {
+        self.graph.clone()
     }
 
-    /// Whether the logical graph carries weights (inherited from the base).
-    pub fn is_weighted(&self) -> bool {
-        self.base.is_weighted()
-    }
-
-    /// Number of nodes in the logical graph (the base's node count plus
-    /// any appended via [`EdgeBatch::add_nodes`]).
-    pub fn num_nodes(&self) -> usize {
-        self.base.num_nodes() + self.grown
-    }
-
-    /// Number of arcs in the logical graph (base − tombstones + inserts).
-    pub fn num_arcs(&self) -> usize {
-        self.base.num_arcs() + self.inserts.len() - self.deletes.len()
-    }
-
-    /// Number of logical edges (arcs, halved for undirected graphs).
-    pub fn num_edges(&self) -> usize {
-        match self.base.direction() {
-            Direction::Directed => self.num_arcs(),
-            Direction::Undirected => self.num_arcs() / 2,
-        }
-    }
-
-    /// Pending overlay entries (inserts + tombstones + weight overrides +
-    /// appended nodes).
+    /// Pending overlay entries: always 0, the graph is patched in place on
+    /// every batch.
+    #[deprecated(note = "the evolving graph has no overlay; always 0")]
     pub fn overlay_len(&self) -> usize {
-        self.inserts.len() + self.deletes.len() + self.reweights.len() + self.grown
-    }
-
-    /// `true` when the overlay is empty (base == logical graph).
-    pub fn is_compacted(&self) -> bool {
-        self.inserts.is_empty()
-            && self.deletes.is_empty()
-            && self.reweights.is_empty()
-            && self.grown == 0
-    }
-
-    /// Overlay size above which [`DeltaGraph::apply_batch`] compacts.
-    pub fn compaction_threshold(&self) -> usize {
-        let frac = self.compaction_fraction * self.base.num_arcs() as f64;
-        // Saturate: an infinite/huge fraction means "never".
-        let frac = if frac >= usize::MAX as f64 {
-            usize::MAX
-        } else {
-            frac as usize
-        };
-        frac.max(self.compaction_min_arcs)
-    }
-
-    /// `true` when arc `u -> v` exists in the logical graph.
-    pub fn has_arc(&self, u: NodeId, v: NodeId) -> bool {
-        if self.inserts.contains_key(&(u, v)) {
-            return true;
-        }
-        self.base_has_arc(u, v) && !self.deletes.contains(&(u, v))
-    }
-
-    /// Weight of arc `u -> v` in the logical graph (`None` when absent;
-    /// 1.0 for every present arc of an unweighted base).
-    pub fn arc_weight(&self, u: NodeId, v: NodeId) -> Option<f64> {
-        if let Some(&w) = self.inserts.get(&(u, v)) {
-            return Some(w);
-        }
-        if self.deletes.contains(&(u, v)) || !self.base_has_arc(u, v) {
-            return None;
-        }
-        Some(
-            self.reweights
-                .get(&(u, v))
-                .copied()
-                .unwrap_or_else(|| self.base_arc_weight(u, v)),
-        )
-    }
-
-    /// `base.has_arc`, tolerating sources past the base's id space (grown
-    /// nodes have no base adjacency).
-    fn base_has_arc(&self, u: NodeId, v: NodeId) -> bool {
-        (u as usize) < self.base.num_nodes() && self.base.has_arc(u, v)
-    }
-
-    /// Weight the base stores for arc `u -> v` (caller guarantees the arc
-    /// exists in the base).
-    fn base_arc_weight(&self, u: NodeId, v: NodeId) -> f64 {
-        self.base
-            .arc_weight(u, v)
-            .expect("arc must exist in the base")
-    }
-
-    /// Iterate the logical graph's arcs as `(source, target)`, sorted.
-    pub fn arcs(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        let n = self.num_nodes() as u32;
-        (0..n).flat_map(move |v| self.merged_arcs(v).map(move |(t, _)| (v, t)))
-    }
-
-    /// Sorted out-neighbors of `v` in the logical graph (base merged with
-    /// the overlay), with logical weights.
-    fn merged_arcs(&self, v: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        let in_base = (v as usize) < self.base.num_nodes();
-        let base_ns: &[NodeId] = if in_base { self.base.neighbors(v) } else { &[] };
-        let base_ws: Option<&[f64]> = if in_base {
-            self.base.neighbor_weights(v)
-        } else {
-            None
-        };
-        let base = base_ns
-            .iter()
-            .enumerate()
-            .filter(move |&(_, &t)| !self.deletes.contains(&(v, t)))
-            .map(move |(k, &t)| {
-                let w = self
-                    .reweights
-                    .get(&(v, t))
-                    .copied()
-                    .unwrap_or_else(|| base_ws.map_or(1.0, |ws| ws[k]));
-                (t, w)
-            });
-        let ins = self
-            .inserts
-            .range((v, 0)..=(v, NodeId::MAX))
-            .map(|(&(_, t), &w)| (t, w));
-        MergeSorted::new(base, ins)
+        0
     }
 
     /// Apply a batch of edits: node additions, then insertions (which
     /// replace weights of already-present arcs), then deletions, then node
     /// removals; undirected edges edit both mirrored arcs; self-loops and
     /// no-ops (inserting a present edge at its current weight, deleting an
-    /// absent one) are skipped. When the overlay crosses
-    /// [`DeltaGraph::compaction_threshold`] after the batch, it is folded
-    /// into a fresh base CSR.
+    /// absent one) are skipped. The graph is then patched once from the
+    /// batch's effective delta.
     ///
     /// The batch is validated before any state changes: on error the graph
     /// is untouched.
     ///
     /// # Errors
     /// - [`GraphError::NodeOutOfRange`] when an edit references a node
-    ///   outside `0..num_nodes() + batch.new_nodes`.
+    ///   outside `0..num_nodes + batch.new_nodes`.
     /// - [`GraphError::InvalidWeight`] when a batch weight is not finite
     ///   and non-negative.
     /// - [`GraphError::WeightMismatch`] when a non-unit weight targets an
-    ///   unweighted base.
+    ///   unweighted graph.
     /// - [`GraphError::Snapshot`] when `batch.weights` does not parallel
     ///   `batch.inserts`.
     pub fn apply_batch(&mut self, batch: &EdgeBatch) -> Result<BatchOutcome> {
-        let n_before = self.num_nodes() as u32;
-        let n_after = (n_before as usize).checked_add(batch.new_nodes as usize);
-        let n_after = match n_after {
-            Some(n) if n <= u32::MAX as usize => n as u32,
-            _ => return Err(GraphError::TooManyNodes(usize::MAX)),
+        let delta = self.apply_batches(std::slice::from_ref(batch))?.net;
+        Ok(BatchOutcome { delta })
+    }
+
+    /// Apply several batches in order as one call that patches the graph
+    /// **once**, from their net delta — the recovery path replaying a log
+    /// tail. Every batch is validated up front, so the call is atomic: on
+    /// error the graph is untouched. The per-batch effective deltas equal
+    /// what [`DeltaGraph::apply_batch`] would report batch by batch.
+    ///
+    /// # Errors
+    /// As [`DeltaGraph::apply_batch`], for the first invalid batch.
+    pub fn apply_batches(&mut self, batches: &[EdgeBatch]) -> Result<BatchesOutcome> {
+        let n0 = self.graph.num_nodes() as u32;
+        let mut n = n0;
+        for batch in batches {
+            n = self.validate(batch, n)?;
+        }
+        let mut pending = Pending {
+            graph: &self.graph,
+            state: BTreeMap::new(),
+            batch_before: BTreeMap::new(),
+        };
+        let mut deltas = Vec::with_capacity(batches.len());
+        let mut removed_all: Vec<NodeId> = Vec::new();
+        let mut n = n0;
+        for batch in batches {
+            let n_before = n;
+            n += batch.new_nodes;
+            let removed = pending.apply(batch);
+            removed_all.extend_from_slice(&removed);
+            let changes = std::mem::take(&mut pending.batch_before)
+                .into_iter()
+                .map(|(arc, before)| (arc, before, pending.state[&arc]));
+            deltas.push(classify(changes, n_before, n, removed));
+        }
+        removed_all.sort_unstable();
+        removed_all.dedup();
+        let changes = pending
+            .state
+            .iter()
+            .map(|(&arc, &after)| (arc, self.graph.arc_weight(arc.0, arc.1), after));
+        let net = classify(changes, n0, n, removed_all);
+        if !net.is_empty() {
+            self.graph = self.graph.patched(&net)?;
+        }
+        Ok(BatchesOutcome { deltas, net })
+    }
+
+    /// Check one batch against a graph of `n` nodes; returns the node
+    /// count after it.
+    fn validate(&self, batch: &EdgeBatch, n: u32) -> Result<u32> {
+        let n_after = match n.checked_add(batch.new_nodes) {
+            Some(n) => n,
+            None => return Err(GraphError::TooManyNodes(usize::MAX)),
         };
         if let Some(w) = &batch.weights {
             if w.len() != batch.inserts.len() {
@@ -584,7 +479,7 @@ impl DeltaGraph {
             if let Some(&bad) = w.iter().find(|x| !x.is_finite() || **x < 0.0) {
                 return Err(GraphError::InvalidWeight(bad));
             }
-            if !self.base.is_weighted() && w.iter().any(|&x| x != 1.0) {
+            if !self.graph.is_weighted() && w.iter().any(|&x| x != 1.0) {
                 return Err(GraphError::WeightMismatch {
                     graph_weighted: false,
                 });
@@ -604,312 +499,141 @@ impl DeltaGraph {
                 num_nodes: n_after,
             });
         }
+        Ok(n_after)
+    }
+}
 
-        self.grown += batch.new_nodes as usize;
+/// The arcs a run of batches touched, on top of the unpatched graph:
+/// their current state and, for the batch in progress, their state before
+/// it. The graph itself is read by binary search.
+struct Pending<'a> {
+    graph: &'a CsrGraph,
+    /// Current state of every touched arc: `Some(weight)` when present.
+    state: BTreeMap<(NodeId, NodeId), Option<f64>>,
+    /// State before the current batch of each arc it touched.
+    batch_before: BTreeMap<(NodeId, NodeId), Option<f64>>,
+}
 
-        let mirrored = self.base.direction() == Direction::Undirected;
-        let mut eff_ins: BTreeMap<(NodeId, NodeId), f64> = BTreeMap::new();
-        let mut eff_del: BTreeMap<(NodeId, NodeId), f64> = BTreeMap::new();
-        let mut eff_rew: BTreeMap<(NodeId, NodeId), (f64, f64)> = BTreeMap::new();
+impl Pending<'_> {
+    /// Current state of `arc` (ids added by growth have no arcs in the
+    /// graph yet).
+    fn current(&self, arc: (NodeId, NodeId)) -> Option<f64> {
+        match self.state.get(&arc) {
+            Some(&s) => s,
+            None => self.graph.arc_weight(arc.0, arc.1),
+        }
+    }
 
+    fn set(&mut self, arc: (NodeId, NodeId), after: Option<f64>) {
+        let before = self.current(arc);
+        self.batch_before.entry(arc).or_insert(before);
+        self.state.insert(arc, after);
+    }
+
+    /// Make `arc` present at weight `w`; re-inserting a present arc
+    /// replaces its weight (a no-op at the current weight, which is every
+    /// re-insert on an unweighted graph: validation admits weight 1 only).
+    fn insert(&mut self, arc: (NodeId, NodeId), w: f64) {
+        if self.current(arc) != Some(w) {
+            self.set(arc, Some(w));
+        }
+    }
+
+    /// Make `arc` absent (a no-op when it already is).
+    fn delete(&mut self, arc: (NodeId, NodeId)) {
+        if self.current(arc).is_some() {
+            self.set(arc, None);
+        }
+    }
+
+    /// Apply one validated batch in the documented phase order; returns
+    /// its removed nodes, sorted and deduplicated.
+    fn apply(&mut self, batch: &EdgeBatch) -> Vec<NodeId> {
+        let mirrored = self.graph.direction() == Direction::Undirected;
         for (k, &(u, v)) in batch.inserts.iter().enumerate() {
-            if u == v {
-                continue;
-            }
-            let w = batch.insert_weight(k);
-            self.insert_arc(u, v, w, &mut eff_ins, &mut eff_del, &mut eff_rew);
-            if mirrored {
-                self.insert_arc(v, u, w, &mut eff_ins, &mut eff_del, &mut eff_rew);
+            if u != v {
+                let w = batch.insert_weight(k);
+                self.insert((u, v), w);
+                if mirrored {
+                    self.insert((v, u), w);
+                }
             }
         }
         for &(u, v) in &batch.deletes {
-            if u == v {
-                continue;
-            }
-            self.delete_arc(u, v, &mut eff_ins, &mut eff_del, &mut eff_rew);
-            if mirrored {
-                self.delete_arc(v, u, &mut eff_ins, &mut eff_del, &mut eff_rew);
+            if u != v {
+                self.delete((u, v));
+                if mirrored {
+                    self.delete((v, u));
+                }
             }
         }
-
-        let mut removed: Vec<NodeId> = batch.removed_nodes.clone();
+        let mut removed = batch.removed_nodes.clone();
         removed.sort_unstable();
         removed.dedup();
-        if !removed.is_empty() {
-            let removed_set: BTreeSet<NodeId> = removed.iter().copied().collect();
-            let mut incident: Vec<(NodeId, NodeId)> = Vec::new();
-            if mirrored {
-                // Mirrored storage: the out-arcs of a removed node name
-                // every incident edge; deleting both directions covers it
-                // without a full scan.
-                for &v in &removed {
-                    incident.extend(self.merged_arcs(v).map(|(t, _)| (v, t)));
-                }
-                let both: Vec<(NodeId, NodeId)> = incident
-                    .iter()
-                    .flat_map(|&(v, t)| [(v, t), (t, v)])
-                    .collect();
-                incident = both;
-            } else {
-                // Directed: in-arcs of removed nodes require a sweep over
-                // the logical adjacency — O(V + E) once per batch that
-                // removes nodes (removal is rare relative to edge churn).
-                let n = self.num_nodes() as u32;
-                for s in 0..n {
-                    let s_removed = removed_set.contains(&s);
-                    for (t, _) in self.merged_arcs(s) {
-                        if s_removed || removed_set.contains(&t) {
-                            incident.push((s, t));
-                        }
-                    }
-                }
-            }
-            for (s, t) in incident {
-                self.delete_arc(s, t, &mut eff_ins, &mut eff_del, &mut eff_rew);
-            }
+        if removed.is_empty() {
+            return removed;
         }
-
-        let compacted = self.overlay_len() > self.compaction_threshold();
-        if compacted {
-            self.compact();
-        }
-        Ok(BatchOutcome {
-            delta: ArcDelta {
-                inserted: eff_ins.keys().copied().collect(),
-                inserted_weights: eff_ins.values().copied().collect(),
-                deleted: eff_del.keys().copied().collect(),
-                deleted_weights: eff_del.values().copied().collect(),
-                reweighted: eff_rew
-                    .iter()
-                    .map(|(&(u, v), &(old, new))| (u, v, old, new))
-                    .collect(),
-                nodes_before: n_before,
-                nodes_after: n_after,
-                removed_nodes: removed,
-            },
-            compacted,
-        })
-    }
-
-    /// Make arc `(u, v)` present with weight `w` (replacing the weight when
-    /// already present); record the flip or reweight — with batch-internal
-    /// cancellation — in the effective-delta maps. Deleted arcs carry
-    /// pre-batch weights in `eff_del`, so re-inserting one reconstructs the
-    /// correct net effect (a reweight, or nothing).
-    fn insert_arc(
-        &mut self,
-        u: NodeId,
-        v: NodeId,
-        w: f64,
-        eff_ins: &mut BTreeMap<(NodeId, NodeId), f64>,
-        eff_del: &mut BTreeMap<(NodeId, NodeId), f64>,
-        eff_rew: &mut BTreeMap<(NodeId, NodeId), (f64, f64)>,
-    ) {
-        let arc = (u, v);
-        let weighted = self.base.is_weighted();
-        let live_base = !self.deletes.contains(&arc) && self.base_has_arc(u, v);
-        let present_weight = if let Some(&cw) = self.inserts.get(&arc) {
-            Some(cw)
-        } else if live_base {
-            Some(
-                self.reweights
-                    .get(&arc)
-                    .copied()
-                    .unwrap_or_else(|| self.base_arc_weight(u, v)),
-            )
+        // Candidates for every arc incident to a removed node: graph arcs
+        // and touched arcs; `delete` skips the ones already absent.
+        let is_removed = |x: NodeId| removed.binary_search(&x).is_ok();
+        let mut incident: Vec<(NodeId, NodeId)> = Vec::new();
+        if mirrored {
+            // Mirrored storage: the removed node's row names every
+            // incident edge, so no full scan is needed.
+            for &v in &removed {
+                if (v as usize) < self.graph.num_nodes() {
+                    incident.extend(self.graph.neighbors(v).iter().map(|&t| (v, t)));
+                }
+                incident.extend(self.state.range((v, 0)..=(v, NodeId::MAX)).map(|(&a, _)| a));
+            }
+            let both = incident.iter().flat_map(|&(v, t)| [(v, t), (t, v)]);
+            incident = both.collect();
         } else {
-            None
-        };
-
-        match present_weight {
-            Some(cur) => {
-                // Reconciliation: replace the weight (no structural flip).
-                if !weighted || w == cur {
-                    return;
-                }
-                if let Some(iw) = self.inserts.get_mut(&arc) {
-                    *iw = w;
-                } else {
-                    let bw = self.base_arc_weight(u, v);
-                    if w == bw {
-                        self.reweights.remove(&arc);
-                    } else {
-                        self.reweights.insert(arc, w);
-                    }
-                }
-                if let Some(iw) = eff_ins.get_mut(&arc) {
-                    // Inserted earlier this batch: still a plain insert,
-                    // now at the newer weight.
-                    *iw = w;
-                } else {
-                    let old = eff_rew.get(&arc).map(|&(o, _)| o).unwrap_or(cur);
-                    if old == w {
-                        eff_rew.remove(&arc);
-                    } else {
-                        eff_rew.insert(arc, (old, w));
-                    }
-                }
-            }
-            None => {
-                if self.deletes.remove(&arc) {
-                    // Un-tombstone a base arc, pinning its weight to `w`.
-                    if weighted {
-                        let bw = self.base_arc_weight(u, v);
-                        if w == bw {
-                            self.reweights.remove(&arc);
-                        } else {
-                            self.reweights.insert(arc, w);
-                        }
-                    }
-                } else {
-                    self.inserts.insert(arc, w);
-                }
-                if let Some(old) = eff_del.remove(&arc) {
-                    // Deleted earlier this batch: present before and
-                    // after — net effect is a reweight (or nothing).
-                    if weighted && old != w {
-                        eff_rew.insert(arc, (old, w));
-                    }
-                } else {
-                    eff_ins.insert(arc, w);
-                }
-            }
+            // Directed: in-arcs of removed nodes need a sweep over the
+            // graph — O(V + E) once per batch that removes nodes (removal
+            // is rare relative to edge churn).
+            let arcs = self.graph.arcs().chain(self.state.keys().copied());
+            incident.extend(arcs.filter(|&(s, t)| is_removed(s) || is_removed(t)));
         }
-    }
-
-    /// Make arc `(u, v)` absent; record the flip (with its pre-batch
-    /// weight) as in [`DeltaGraph::insert_arc`].
-    fn delete_arc(
-        &mut self,
-        u: NodeId,
-        v: NodeId,
-        eff_ins: &mut BTreeMap<(NodeId, NodeId), f64>,
-        eff_del: &mut BTreeMap<(NodeId, NodeId), f64>,
-        eff_rew: &mut BTreeMap<(NodeId, NodeId), (f64, f64)>,
-    ) {
-        let arc = (u, v);
-        if let Some(cw) = self.inserts.remove(&arc) {
-            // Drop an overlay arc.
-            if eff_ins.remove(&arc).is_none() {
-                // Present pre-batch (an earlier batch's insert); pre-batch
-                // weight is the reweight's `old` if this batch changed it.
-                let old = eff_rew.remove(&arc).map(|(o, _)| o).unwrap_or(cw);
-                eff_del.insert(arc, old);
-            }
-        } else if self.base_has_arc(u, v) && self.deletes.insert(arc) {
-            // Tombstone a live base arc; its weight override (if any)
-            // leaves with it.
-            let cur = self
-                .reweights
-                .remove(&arc)
-                .unwrap_or_else(|| self.base_arc_weight(u, v));
-            let old = eff_rew.remove(&arc).map(|(o, _)| o).unwrap_or(cur);
-            if eff_ins.remove(&arc).is_none() {
-                eff_del.insert(arc, old);
-            }
+        for arc in incident {
+            self.delete(arc);
         }
-        // Otherwise: already absent — no-op.
-    }
-
-    /// Materialize the logical graph as a plain [`CsrGraph`].
-    ///
-    /// One per-source merge of the (sorted) base adjacency with the
-    /// (sorted) overlay — `O(V + E + Δ)`, with sequential copies for every
-    /// untouched neighborhood. No builder round-trip: no edge soup, no
-    /// counting sort, no per-node re-sort.
-    pub fn snapshot(&self) -> CsrGraph {
-        if self.is_compacted() {
-            return self.base.clone();
-        }
-        let n = self.num_nodes();
-        let weighted = self.base.is_weighted();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut targets: Vec<NodeId> = Vec::with_capacity(self.num_arcs());
-        let mut weights: Vec<f64> = if weighted {
-            Vec::with_capacity(self.num_arcs())
-        } else {
-            Vec::new()
-        };
-        for v in 0..n as u32 {
-            for (t, w) in self.merged_arcs(v) {
-                targets.push(t);
-                if weighted {
-                    weights.push(w);
-                }
-            }
-            offsets.push(targets.len());
-        }
-        CsrGraph::from_csr(
-            self.base.direction(),
-            offsets,
-            targets,
-            weighted.then_some(weights),
-        )
-        .expect("delta merge preserves CSR invariants")
-    }
-
-    /// Fold the overlay into a fresh base snapshot.
-    pub fn compact(&mut self) {
-        if self.is_compacted() {
-            return;
-        }
-        self.base = self.snapshot();
-        self.inserts.clear();
-        self.deletes.clear();
-        self.reweights.clear();
-        self.grown = 0;
-    }
-
-    /// Consume the delta graph, returning the compacted CSR.
-    pub fn into_snapshot(mut self) -> CsrGraph {
-        self.compact();
-        self.base
+        removed
     }
 }
 
-/// Merge two ascending `(target, weight)` streams into one ascending
-/// stream, ordered by target. The two streams are disjoint by the overlay
-/// invariant (an insert never shadows a live base arc), so equality needs
-/// no special casing — but it is handled anyway (both sides advance, the
-/// base side wins) to stay robust.
-struct MergeSorted<A: Iterator, B: Iterator> {
-    a: std::iter::Peekable<A>,
-    b: std::iter::Peekable<B>,
-}
-
-impl<A: Iterator, B: Iterator> MergeSorted<A, B> {
-    fn new(a: A, b: B) -> Self {
-        Self {
-            a: a.peekable(),
-            b: b.peekable(),
-        }
-    }
-}
-
-impl<A, B> Iterator for MergeSorted<A, B>
-where
-    A: Iterator<Item = (NodeId, f64)>,
-    B: Iterator<Item = (NodeId, f64)>,
-{
-    type Item = (NodeId, f64);
-
-    fn next(&mut self) -> Option<(NodeId, f64)> {
-        match (self.a.peek().copied(), self.b.peek().copied()) {
-            (Some((x, _)), Some((y, _))) => {
-                if x <= y {
-                    if x == y {
-                        self.b.next();
-                    }
-                    self.a.next()
-                } else {
-                    self.b.next()
-                }
+/// An [`ArcDelta`] from per-arc `(arc, before, after)` states, ascending
+/// by arc: absent → present is an insert, present → absent a delete, and
+/// a changed weight a re-weight; unchanged arcs drop out.
+fn classify(
+    changes: impl Iterator<Item = ((NodeId, NodeId), Option<f64>, Option<f64>)>,
+    nodes_before: u32,
+    nodes_after: u32,
+    removed_nodes: Vec<NodeId>,
+) -> ArcDelta {
+    let mut delta = ArcDelta {
+        nodes_before,
+        nodes_after,
+        removed_nodes,
+        ..ArcDelta::default()
+    };
+    for (arc, before, after) in changes {
+        match (before, after) {
+            (None, Some(w)) => {
+                delta.inserted.push(arc);
+                delta.inserted_weights.push(w);
             }
-            (Some(_), None) => self.a.next(),
-            (None, _) => self.b.next(),
+            (Some(w), None) => {
+                delta.deleted.push(arc);
+                delta.deleted_weights.push(w);
+            }
+            (Some(old), Some(new)) if old != new => {
+                delta.reweighted.push((arc.0, arc.1, old, new));
+            }
+            _ => {}
         }
     }
+    delta
 }
 
 #[cfg(test)]
@@ -937,16 +661,16 @@ mod tests {
     #[test]
     fn accepts_weighted_base() {
         let mut dg = DeltaGraph::new(weighted3()).unwrap();
-        assert!(dg.is_weighted());
-        assert_eq!(dg.arc_weight(0, 1), Some(2.0));
-        assert_eq!(dg.arc_weight(1, 0), None);
+        assert!(dg.graph().is_weighted());
+        assert_eq!(dg.graph().arc_weight(0, 1), Some(2.0));
+        assert_eq!(dg.graph().arc_weight(1, 0), None);
         // A structural insert on a weighted base carries weight 1.
         let mut batch = EdgeBatch::new();
         batch.insert(2, 0);
         let out = dg.apply_batch(&batch).unwrap();
         assert_eq!(out.delta.inserted, vec![(2, 0)]);
         assert_eq!(out.delta.inserted_weights, vec![1.0]);
-        assert_eq!(dg.arc_weight(2, 0), Some(1.0));
+        assert_eq!(dg.graph().arc_weight(2, 0), Some(1.0));
     }
 
     #[test]
@@ -957,8 +681,12 @@ mod tests {
         let out = dg.apply_batch(&batch).unwrap();
         assert!(out.delta.inserted.is_empty() && out.delta.deleted.is_empty());
         assert_eq!(out.delta.reweighted, vec![(0, 1, 2.0, 5.0)]);
-        assert_eq!(dg.arc_weight(0, 1), Some(5.0));
-        assert_eq!(dg.num_arcs(), 3, "reweight is structurally invisible");
+        assert_eq!(dg.graph().arc_weight(0, 1), Some(5.0));
+        assert_eq!(
+            dg.graph().num_arcs(),
+            3,
+            "reweight is structurally invisible"
+        );
         // Θ change: node 0 went from 2.5 to 5.5.
         assert_eq!(out.delta.source_theta_changes(), vec![(0, 3.0)]);
         assert!(out.delta.source_degree_changes().is_empty());
@@ -967,8 +695,7 @@ mod tests {
         batch.set_weight(0, 1, 2.0);
         let out = dg.apply_batch(&batch).unwrap();
         assert_eq!(out.delta.reweighted, vec![(0, 1, 5.0, 2.0)]);
-        assert!(dg.is_compacted() || dg.overlay_len() == 0);
-        assert_eq!(dg.snapshot(), weighted3());
+        assert_eq!(dg.graph(), &weighted3());
     }
 
     #[test]
@@ -1022,10 +749,7 @@ mod tests {
         let out = dg.apply_batch(&batch).unwrap();
         assert_eq!(out.delta.inserted, vec![(0, 1)]);
         assert_eq!(out.delta.inserted_weights, vec![3.0]);
-        assert_eq!(dg.arc_weight(0, 1), Some(3.0));
-        // The un-tombstoned base arc carries the new weight in snapshots.
-        let snap = dg.snapshot();
-        assert_eq!(snap.arc_weight(0, 1), Some(3.0));
+        assert_eq!(dg.graph().arc_weight(0, 1), Some(3.0));
     }
 
     #[test]
@@ -1039,7 +763,7 @@ mod tests {
                 graph_weighted: false
             }
         );
-        assert!(dg.is_compacted(), "rejected batch must not apply");
+        assert_eq!(dg.graph(), &path4(), "rejected batch must not apply");
         // Weight-1 entries through the weighted API are fine.
         let mut batch = EdgeBatch::new();
         batch.insert_weighted(0, 3, 1.0);
@@ -1072,7 +796,7 @@ mod tests {
             dg.apply_batch(&batch).unwrap_err(),
             GraphError::Snapshot(_)
         ));
-        assert!(dg.is_compacted());
+        assert_eq!(dg.graph(), &weighted3());
     }
 
     #[test]
@@ -1081,7 +805,7 @@ mod tests {
         let mut batch = EdgeBatch::new();
         batch.add_nodes(2).insert(3, 5); // 5 is a fresh id
         let out = dg.apply_batch(&batch).unwrap();
-        assert_eq!(dg.num_nodes(), 6);
+        assert_eq!(dg.graph().num_nodes(), 6);
         assert_eq!(out.delta.nodes_before, 4);
         assert_eq!(out.delta.nodes_after, 6);
         assert_eq!(out.delta.added_nodes(), 2);
@@ -1090,7 +814,7 @@ mod tests {
         // frontier.
         assert!(out.delta.touched_nodes().contains(&4));
         assert!(out.delta.touched_nodes().contains(&5));
-        let snap = dg.snapshot();
+        let snap = dg.graph();
         assert_eq!(snap.num_nodes(), 6);
         assert!(snap.has_arc(3, 5) && snap.has_arc(5, 3));
         assert_eq!(snap.out_degree(4), 0);
@@ -1105,9 +829,13 @@ mod tests {
         let out = dg.apply_batch(&batch).unwrap();
         assert_eq!(out.delta.removed_nodes, vec![1]);
         assert_eq!(out.delta.deleted, vec![(0, 1), (1, 0), (1, 2), (2, 1)]);
-        assert_eq!(dg.num_nodes(), 4, "removal tombstones, never shrinks");
-        assert!(!dg.has_arc(0, 1) && !dg.has_arc(1, 2));
-        assert!(dg.has_arc(2, 3));
+        assert_eq!(
+            dg.graph().num_nodes(),
+            4,
+            "removal tombstones, never shrinks"
+        );
+        assert!(!dg.graph().has_arc(0, 1) && !dg.graph().has_arc(1, 2));
+        assert!(dg.graph().has_arc(2, 3));
 
         // Directed: in-arcs go too.
         let mut b = GraphBuilder::new(Direction::Directed, 3);
@@ -1119,7 +847,7 @@ mod tests {
         batch.remove_node(1);
         let out = dg.apply_batch(&batch).unwrap();
         assert_eq!(out.delta.deleted, vec![(0, 1), (1, 2), (2, 1)]);
-        assert_eq!(dg.num_arcs(), 0);
+        assert_eq!(dg.graph().num_arcs(), 0);
     }
 
     #[test]
@@ -1132,7 +860,7 @@ mod tests {
         // is the only real deletion.
         assert!(out.delta.inserted.is_empty());
         assert_eq!(out.delta.deleted, vec![(2, 3), (3, 2)]);
-        assert!(!dg.has_arc(0, 3));
+        assert!(!dg.graph().has_arc(0, 3));
     }
 
     #[test]
@@ -1145,19 +873,18 @@ mod tests {
         assert_eq!(out.delta.inserted_weights, vec![1.0, 1.0]);
         assert_eq!(out.delta.deleted, vec![(1, 2), (2, 1)]);
         assert_eq!(out.delta.deleted_weights, vec![1.0, 1.0]);
-        assert!(!out.compacted);
-        assert!(dg.has_arc(0, 3) && dg.has_arc(3, 0));
-        assert!(!dg.has_arc(1, 2) && !dg.has_arc(2, 1));
-        assert_eq!(dg.num_arcs(), 6);
-        assert_eq!(dg.num_edges(), 3);
+        let g = dg.graph();
+        assert!(g.has_arc(0, 3) && g.has_arc(3, 0));
+        assert!(!g.has_arc(1, 2) && !g.has_arc(2, 1));
+        assert_eq!(g.num_arcs(), 6);
+        assert_eq!(g.num_edges(), 3);
 
         // Undo: the logical graph returns to the base.
         let mut undo = EdgeBatch::new();
         undo.insert(1, 2).delete(0, 3);
         let out = dg.apply_batch(&undo).unwrap();
         assert_eq!(out.delta.len(), 4);
-        assert!(dg.is_compacted() || dg.overlay_len() == 0);
-        assert_eq!(dg.snapshot(), path4());
+        assert_eq!(dg.graph(), &path4());
     }
 
     #[test]
@@ -1169,8 +896,7 @@ mod tests {
         batch.insert(2, 2); // self-loop: dropped
         let out = dg.apply_batch(&batch).unwrap();
         assert!(out.delta.is_empty());
-        assert!(dg.is_compacted());
-        assert_eq!(dg.snapshot(), path4());
+        assert_eq!(dg.graph(), &path4());
     }
 
     #[test]
@@ -1180,14 +906,14 @@ mod tests {
         batch.insert(0, 3).delete(0, 3);
         let out = dg.apply_batch(&batch).unwrap();
         assert!(out.delta.is_empty());
-        assert!(!dg.has_arc(0, 3));
+        assert!(!dg.graph().has_arc(0, 3));
         // ... and deleting then re-inserting a base edge also cancels.
         let mut batch = EdgeBatch::new();
         batch.insert(0, 1).delete(0, 1);
         // inserts run first: insert is a no-op, delete tombstones.
         let out = dg.apply_batch(&batch).unwrap();
         assert_eq!(out.delta.deleted, vec![(0, 1), (1, 0)]);
-        assert!(!dg.has_arc(0, 1));
+        assert!(!dg.graph().has_arc(0, 1));
     }
 
     #[test]
@@ -1204,8 +930,7 @@ mod tests {
             }
         );
         // Nothing from the batch applied.
-        assert!(!dg.has_arc(0, 3));
-        assert!(dg.is_compacted());
+        assert_eq!(dg.graph(), &path4());
         // Removals are range-checked too (against the grown id space).
         let mut batch = EdgeBatch::new();
         batch.add_nodes(1).remove_node(9);
@@ -1217,42 +942,7 @@ mod tests {
                 num_nodes: 5
             }
         );
-        assert_eq!(dg.num_nodes(), 4);
-    }
-
-    #[test]
-    fn compaction_triggers_on_threshold() {
-        let g = GraphBuilder::new(Direction::Directed, 50).build().unwrap();
-        let mut dg = DeltaGraph::new(g)
-            .unwrap()
-            .with_compaction_threshold(0.0, 4);
-        let mut batch = EdgeBatch::new();
-        batch.insert(0, 1).insert(1, 2).insert(2, 3);
-        let out = dg.apply_batch(&batch).unwrap();
-        assert!(!out.compacted, "3 <= threshold 4");
-        assert_eq!(dg.overlay_len(), 3);
-        let mut batch = EdgeBatch::new();
-        batch.insert(3, 4).insert(4, 5);
-        let out = dg.apply_batch(&batch).unwrap();
-        assert!(out.compacted, "5 > threshold 4");
-        assert!(dg.is_compacted());
-        assert_eq!(dg.base().num_arcs(), 5);
-        assert_eq!(dg.num_arcs(), 5);
-    }
-
-    #[test]
-    fn compaction_folds_growth_and_weights() {
-        let mut dg = DeltaGraph::new(weighted3())
-            .unwrap()
-            .with_compaction_threshold(0.0, 0);
-        let mut batch = EdgeBatch::new();
-        batch.add_nodes(1).insert_weighted(2, 3, 4.0);
-        let out = dg.apply_batch(&batch).unwrap();
-        assert!(out.compacted);
-        assert!(dg.is_compacted());
-        assert_eq!(dg.base().num_nodes(), 4);
-        assert_eq!(dg.base().arc_weight(2, 3), Some(4.0));
-        assert_eq!(dg.num_nodes(), 4);
+        assert_eq!(dg.graph().num_nodes(), 4);
     }
 
     #[test]
@@ -1271,9 +961,9 @@ mod tests {
         for (u, v) in [(0, 1), (5, 0), (0, 2), (4, 5)] {
             direct.add_edge(u, v);
         }
-        assert_eq!(dg.snapshot(), direct.build().unwrap());
+        assert_eq!(dg.graph(), &direct.build().unwrap());
 
-        let arcs: Vec<_> = dg.arcs().collect();
+        let arcs: Vec<_> = dg.graph().arcs().collect();
         assert_eq!(arcs, vec![(0, 1), (0, 2), (4, 5), (5, 0)]);
     }
 
@@ -1291,7 +981,7 @@ mod tests {
         direct.add_weighted_edge(0, 1, 6.0);
         direct.add_weighted_edge(1, 2, 1.0);
         direct.add_weighted_edge(2, 0, 3.0);
-        assert_eq!(dg.snapshot(), direct.build().unwrap());
+        assert_eq!(dg.graph(), &direct.build().unwrap());
     }
 
     #[test]
@@ -1360,12 +1050,12 @@ mod tests {
     }
 
     #[test]
-    fn into_snapshot_compacts() {
+    fn into_graph_returns_the_patched_graph() {
         let mut dg = DeltaGraph::new(path4()).unwrap();
         let mut batch = EdgeBatch::new();
         batch.insert(0, 2);
         dg.apply_batch(&batch).unwrap();
-        let g = dg.into_snapshot();
+        let g = dg.into_graph();
         assert!(g.has_arc(0, 2) && g.has_arc(2, 0));
         assert_eq!(g.num_edges(), 4);
     }

@@ -15,7 +15,7 @@
 //! probabilities, so one build serves every `(p, α, β)` sweep point. See
 //! `DESIGN.md` for how the engine layers on top.
 
-use crate::csr::{CsrGraph, NodeId};
+use crate::csr::{copy_rows, merge_row, CsrGraph, NodeId};
 use crate::delta::ArcDelta;
 use crate::error::{GraphError, Result};
 use crate::permute::{narrow_offsets, Layout, NodePermutation};
@@ -160,11 +160,10 @@ impl CscStructure {
     ///
     /// What is reused and what is recomputed:
     ///
-    /// * `in_offsets` — patched from the old prefix sums with the per-node
-    ///   in-degree changes of the delta: `O(V + Δ)`;
-    /// * `in_sources` — untouched destinations copy their old span
-    ///   wholesale (sequential `memcpy`, no per-arc scatter); edited
-    ///   destinations merge their old span with the delta;
+    /// * `in_offsets` and `in_sources` — every run of destinations between
+    ///   two edited ones is one span copy (one `extend_from_slice` of its
+    ///   sources, its offsets shifted by a constant; no per-node or per-arc
+    ///   work); edited destinations merge their old span with the delta;
     /// * the CSC weights, when this structure has them filled — copied and
     ///   merged alongside `in_sources`; then each inserted and re-weighted
     ///   arc is written at its CSC slot, found by binary search in the
@@ -251,8 +250,9 @@ impl CscStructure {
         ins.sort_unstable();
         del.sort_unstable();
 
-        // in_offsets: patch the prefix sums; in_sources (and the weights,
-        // when filled): span-copy or merge.
+        // in_offsets, in_sources (and the weights, when filled): every run
+        // of destinations between edited ones is one span copy; edited
+        // destinations merge their old span with the delta.
         let m = new_graph.num_arcs();
         let old_weights = self.in_weights.get().filter(|_| new_graph.is_weighted());
         let mut in_offsets = Vec::with_capacity(n_new + 1);
@@ -261,44 +261,62 @@ impl CscStructure {
         let mut in_weights: Vec<f64> =
             Vec::with_capacity(if old_weights.is_some() { m } else { 0 });
         let (mut ii, mut di) = (0usize, 0usize);
-        for v in 0..n_new {
-            let span = if v < n {
-                self.in_offsets[v]..self.in_offsets[v + 1]
+        let mut next = 0usize;
+        loop {
+            let edited = [ins.get(ii), del.get(di)]
+                .into_iter()
+                .flatten()
+                .map(|&(t, _)| t)
+                .min();
+            let stop = edited.map_or(n_new, |t| t as usize);
+            copy_rows(
+                (
+                    &self.in_offsets,
+                    &self.in_sources,
+                    old_weights.map(Vec::as_slice),
+                ),
+                next..stop.min(n),
+                (
+                    &mut in_offsets,
+                    &mut in_sources,
+                    old_weights.map(|_| &mut in_weights),
+                ),
+            );
+            // Grown destinations without in-arcs.
+            in_offsets.resize(
+                in_offsets.len() + stop.saturating_sub(next.max(n)),
+                in_sources.len(),
+            );
+            let Some(v) = edited else { break };
+            let span = if (v as usize) < n {
+                self.in_offsets[v as usize]..self.in_offsets[v as usize + 1]
             } else {
                 0..0
             };
-            let old_span = &self.in_sources[span.clone()];
-            let ins_here = run_len(&ins, ii, v as NodeId);
-            let del_here = run_len(&del, di, v as NodeId);
-            if ins_here == 0 && del_here == 0 {
-                in_sources.extend_from_slice(old_span);
-                if let Some(w) = old_weights {
-                    in_weights.extend_from_slice(&w[span]);
-                }
-            } else {
-                merge_span(
-                    old_span,
-                    &ins[ii..ii + ins_here],
-                    &del[di..di + del_here],
-                    |src, old_k| {
-                        in_sources.push(src);
-                        if let Some(w) = old_weights {
-                            // Inserted arcs get their weight in the
-                            // rewrite below (their sources are delta
-                            // sources).
-                            in_weights.push(old_k.map_or(0.0, |k| w[span.start + k]));
-                        }
-                    },
-                )
-                .map_err(|src| {
-                    GraphError::Snapshot(format!(
-                        "patched: deleted arc {src} -> {v} is not in the old structure"
-                    ))
-                })?;
-                ii += ins_here;
-                di += del_here;
-            }
+            let ins_end = ii + ins[ii..].iter().take_while(|e| e.0 == v).count();
+            let del_end = di + del[di..].iter().take_while(|e| e.0 == v).count();
+            let old_w = old_weights.map(|w| &w[span.clone()]);
+            let old = self.in_sources[span].iter().enumerate();
+            merge_row(
+                old.map(|(k, &src)| (src, old_w.map_or(0.0, |w| w[k]))),
+                // Inserted arcs get their weight in the rewrite below
+                // (their sources are delta sources).
+                ins[ii..ins_end].iter().map(|&(_, src)| (src, 0.0)),
+                del[di..del_end].iter().map(|&(_, src)| src),
+                std::iter::empty(),
+                |src, w| {
+                    in_sources.push(src);
+                    if old_weights.is_some() {
+                        in_weights.push(w);
+                    }
+                },
+            )
+            .map_err(|why| {
+                GraphError::Snapshot(format!("patched: in-arcs of destination {v}: {why}"))
+            })?;
             in_offsets.push(in_sources.len());
+            (ii, di) = (ins_end, del_end);
+            next = v as usize + 1;
         }
         debug_assert_eq!(in_sources.len(), m);
 
@@ -486,55 +504,6 @@ fn weights_of(graph: &CsrGraph, v: NodeId) -> &[f64] {
     graph.neighbor_weights(v).expect("weighted graph")
 }
 
-/// Length of the run of edits targeting `t`, starting at `start`. `edits`
-/// is sorted by `(target, source)` and runs are consumed in ascending
-/// target order, so the run (possibly empty) always begins at `start`.
-fn run_len(edits: &[(NodeId, NodeId)], start: usize, t: NodeId) -> usize {
-    edits[start..]
-        .iter()
-        .take_while(|&&(tt, _)| tt == t)
-        .count()
-}
-
-/// Merge one destination's old source span (ascending) with its inserted
-/// sources minus its deleted sources (both `(target, source)` pairs of one
-/// fixed target, ascending by source), emitting each surviving source with
-/// its index in `old` (`None` for an inserted one). Each deletion consumes
-/// exactly one matching occurrence. Returns the source of an unmatched
-/// deletion as the error.
-fn merge_span(
-    old: &[NodeId],
-    ins: &[(NodeId, NodeId)],
-    del: &[(NodeId, NodeId)],
-    mut emit: impl FnMut(NodeId, Option<usize>),
-) -> std::result::Result<(), NodeId> {
-    let mut ip = 0usize;
-    let mut dp = 0usize;
-    for (k, &src) in old.iter().enumerate() {
-        while ip < ins.len() && ins[ip].1 < src {
-            emit(ins[ip].1, None);
-            ip += 1;
-        }
-        if dp < del.len() {
-            if del[dp].1 < src {
-                return Err(del[dp].1);
-            }
-            if del[dp].1 == src {
-                dp += 1;
-                continue;
-            }
-        }
-        emit(src, Some(k));
-    }
-    for &(_, s) in &ins[ip..] {
-        emit(s, None);
-    }
-    if dp < del.len() {
-        return Err(del[dp].1);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,7 +548,7 @@ mod tests {
             }
         }
         let out = dg.apply_batch(&batch).unwrap();
-        let g2 = dg.snapshot();
+        let g2 = dg.graph().clone();
         let patched = csc.patched(&g2, &out.delta).unwrap();
         assert_eq!(patched, CscStructure::build(&g2));
     }
@@ -611,7 +580,7 @@ mod tests {
             .delete(4, 5)
             .insert_weighted(1, 5, 2.0);
         let out = dg.apply_batch(&batch).unwrap();
-        let g2 = dg.snapshot();
+        let g2 = dg.graph().clone();
         let fresh = CscStructure::build(&g2);
         // Weights are carried forward only when they were filled.
         assert_eq!(unfilled.patched(&g2, &out.delta).unwrap(), fresh);
@@ -627,7 +596,7 @@ mod tests {
         let mut batch = EdgeBatch::new();
         batch.set_weight(1, 5, 0.0).set_weight(2, 3, 0.5);
         let out = dg.apply_batch(&batch).unwrap();
-        let g3 = dg.snapshot();
+        let g3 = dg.graph().clone();
         assert_eq!(out.delta.reweighted.len(), 2);
         let repatched = patched.patched(&g3, &out.delta).unwrap();
         let fresh = CscStructure::build(&g3);
@@ -654,7 +623,7 @@ mod tests {
             .insert(12, 101)
             .remove_node(5);
         let out = dg.apply_batch(&batch).unwrap();
-        let g2 = dg.snapshot();
+        let g2 = dg.graph().clone();
         assert_eq!(g2.num_nodes(), 103);
         let patched = csc.patched(&g2, &out.delta).unwrap();
         assert_eq!(patched, CscStructure::build(&g2));
@@ -848,7 +817,7 @@ mod tests {
         let mut batch = EdgeBatch::new();
         batch.delete(0, pg.neighbors(0)[0]).insert(3, 117);
         let out = dg.apply_batch(&batch).unwrap();
-        let g2 = dg.snapshot();
+        let g2 = dg.graph().clone();
         let patched = csc.patched(&g2, &out.delta).unwrap();
         // The permutation rides along and the narrow index is recomputed.
         assert!(Arc::ptr_eq(patched.permutation().unwrap(), &perm));

@@ -210,7 +210,7 @@ fn world_at(
             removed.remove(&v);
         }
     }
-    (dg.into_snapshot(), removed)
+    (dg.into_graph(), removed)
 }
 
 /// Cold reference for one generation: solve the replayed graph, then mask

@@ -272,7 +272,7 @@ pub fn run_scenario_with(
                 removed.remove(&v);
             }
         }
-        let snap = dg.snapshot();
+        let snap = dg.graph();
         let mut per_shard = Vec::with_capacity(SHARDS);
         for t in &teleports {
             // Arrivals get zero personalization mass — the same
@@ -280,7 +280,7 @@ pub fn run_scenario_with(
             // teleport on a growth ingest.
             let mut t = t.clone();
             t.resize(snap.num_nodes(), 0.0);
-            let mut eng = Engine::new(&snap)
+            let mut eng = Engine::new(snap)
                 .with_config(cfg.pagerank())
                 .expect("cold engine");
             eng.set_model(MODEL).expect("model");

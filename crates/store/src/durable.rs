@@ -300,7 +300,7 @@ impl DurableServingEngine {
         let generation = self.inner.reader().snapshot_into(&mut scores);
         debug_assert_eq!(generation, self.inner.generation());
         StoreSnapshot {
-            graph: self.inner.delta_graph().snapshot(),
+            graph: self.inner.delta_graph().graph().clone(),
             perm_forward: self.inner.permutation().map(|p| p.forward().to_vec()),
             scores,
             generation,

@@ -50,7 +50,7 @@ fn graph_at(upto: u64) -> CsrGraph {
     for g in 1..=upto {
         dg.apply_batch(&batch(g)).unwrap();
     }
-    dg.into_snapshot()
+    dg.into_graph()
 }
 
 /// Lay down the canonical fixture: snapshot at 0 and 3 (retained), wal-3

@@ -55,7 +55,7 @@ fn graph_at(base: &CsrGraph, n: u32, upto: u64) -> CsrGraph {
     for g in 1..=upto {
         dg.apply_batch(&batch(n, g)).unwrap();
     }
-    dg.into_snapshot()
+    dg.into_graph()
 }
 
 #[test]
@@ -351,7 +351,7 @@ fn weighted_node_churn_survives_crash_and_compaction() {
     for b in &batches {
         dg.apply_batch(b).unwrap();
     }
-    let mut cold = pagerank(&dg.into_snapshot(), model, &tight()).scores;
+    let mut cold = pagerank(&dg.into_graph(), model, &tight()).scores;
     cold[5] = 0.0;
     assert_close(&recovered, &cold, 1e-7);
 

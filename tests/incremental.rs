@@ -51,11 +51,11 @@ fn churn_roundtrip(
 
     let mut dg = DeltaGraph::new(base).expect("unweighted");
     let outcome = dg.apply_batch(batch).expect("in-range batch");
-    let snapshot = dg.snapshot();
+    let snapshot = dg.graph();
     let state = state
-        .patched(&snapshot, &outcome.delta)
+        .patched(snapshot, &outcome.delta)
         .expect("consistent delta");
-    let mut engine = Engine::from_state(&snapshot, state).expect("state matches snapshot");
+    let mut engine = Engine::from_state(snapshot, state).expect("state matches snapshot");
     let local = engine
         .resolve_localized(&before.scores, &outcome.delta)
         .expect("valid localized resolve");
@@ -178,15 +178,15 @@ proptest! {
             state = e.into_state();
             r.scores
         };
-        let mut dg = DeltaGraph::new(g).unwrap().with_compaction_threshold(0.01, 8);
+        let mut dg = DeltaGraph::new(g).unwrap();
         for round in 0..3u32 {
-            let snapshot_before = dg.snapshot();
-            let batch = churn_batch(&snapshot_before, 4, salt.wrapping_add(round));
+            let snapshot_before = dg.graph();
+            let batch = churn_batch(snapshot_before, 4, salt.wrapping_add(round));
             prop_assume!(!batch.is_empty());
             let outcome = dg.apply_batch(&batch).expect("in-range");
-            let snapshot = dg.snapshot();
-            state = state.patched(&snapshot, &outcome.delta).expect("consistent");
-            let mut engine = Engine::from_state(&snapshot, state).unwrap();
+            let snapshot = dg.graph();
+            state = state.patched(snapshot, &outcome.delta).expect("consistent");
+            let mut engine = Engine::from_state(snapshot, state).unwrap();
             let local = engine.resolve_incremental(&prev, &outcome.delta).unwrap();
             let cold = engine.solve().unwrap();
             let l1: f64 = cold.scores.iter().zip(&local.result.scores)
@@ -239,9 +239,9 @@ fn auto_mode_picks_sweep_under_bulk_churn_and_push_under_trickle() {
     let bulk_batch = churn_batch(&g, g.num_edges() / 100, 3);
     let mut dg = DeltaGraph::new(g.clone()).unwrap();
     let outcome = dg.apply_batch(&bulk_batch).unwrap();
-    let snapshot = dg.snapshot();
-    let state = state.patched(&snapshot, &outcome.delta).unwrap();
-    let mut engine = Engine::from_state(&snapshot, state).unwrap();
+    let snapshot = dg.graph();
+    let state = state.patched(snapshot, &outcome.delta).unwrap();
+    let mut engine = Engine::from_state(snapshot, state).unwrap();
     let bulk = engine
         .resolve_incremental(&before.scores, &outcome.delta)
         .unwrap();
@@ -258,14 +258,14 @@ fn auto_mode_picks_sweep_under_bulk_churn_and_push_under_trickle() {
     trickle_batch.insert(1_000, 3_999);
     let mut dg = DeltaGraph::new(g.clone()).unwrap();
     let outcome = dg.apply_batch(&trickle_batch).unwrap();
-    let snapshot = dg.snapshot();
+    let snapshot = dg.graph();
     let state = Engine::new(&g)
         .with_config(config)
         .unwrap()
         .into_state()
-        .patched(&snapshot, &outcome.delta)
+        .patched(snapshot, &outcome.delta)
         .unwrap();
-    let mut engine = Engine::from_state(&snapshot, state).unwrap();
+    let mut engine = Engine::from_state(snapshot, state).unwrap();
     engine.set_model(model).unwrap();
     let trickle = engine
         .resolve_incremental(&before.scores, &outcome.delta)
@@ -313,9 +313,9 @@ fn renormalize_batch_healing_last_dangling_node_stays_correct() {
     let mut batch = EdgeBatch::new();
     batch.insert(150, 7);
     let outcome = dg.apply_batch(&batch).unwrap();
-    let snapshot = dg.snapshot();
-    let state = state.patched(&snapshot, &outcome.delta).unwrap();
-    let mut engine = Engine::from_state(&snapshot, state).unwrap();
+    let snapshot = dg.graph();
+    let state = state.patched(snapshot, &outcome.delta).unwrap();
+    let mut engine = Engine::from_state(snapshot, state).unwrap();
     let local = engine
         .resolve_localized(&before.scores, &outcome.delta)
         .unwrap();
@@ -360,13 +360,13 @@ fn chained_serving_preserves_parity_and_structure_identity() {
     let mut state = engine.into_state();
     let mut dg = DeltaGraph::new(g).unwrap();
     for round in 0..5u32 {
-        let snapshot_before = dg.snapshot();
+        let snapshot_before = dg.graph();
         let churn = if round % 2 == 0 { 4 } else { 0 };
-        let batch = churn_batch(&snapshot_before, churn, 991 + round);
+        let batch = churn_batch(snapshot_before, churn, 991 + round);
         let outcome = dg.apply_batch(&batch).unwrap();
-        let snapshot = dg.snapshot();
+        let snapshot = dg.graph();
         let arc_before = state.shared_structure();
-        state = state.patched(&snapshot, &outcome.delta).unwrap();
+        state = state.patched(snapshot, &outcome.delta).unwrap();
         let topology_changed =
             !outcome.delta.inserted.is_empty() || !outcome.delta.deleted.is_empty();
         assert_eq!(
@@ -375,7 +375,7 @@ fn chained_serving_preserves_parity_and_structure_identity() {
             "round {round}: patch must rekey the Arc iff arcs changed"
         );
         let arc_patched = state.shared_structure();
-        let mut engine = Engine::from_state(&snapshot, state).unwrap();
+        let mut engine = Engine::from_state(snapshot, state).unwrap();
         assert!(
             Arc::ptr_eq(&arc_patched, &engine.shared_structure()),
             "round {round}: from_state must reattach the same structure, not copy it"

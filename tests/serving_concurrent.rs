@@ -159,8 +159,8 @@ fn readers_never_observe_torn_or_stale_state() {
         if step > 0 {
             dg.apply_batch(&batches[step - 1]).unwrap();
         }
-        let snapshot = dg.snapshot();
-        let mut engine = Engine::new(&snapshot).with_config(config()).unwrap();
+        let snapshot = dg.graph();
+        let mut engine = Engine::new(snapshot).with_config(config()).unwrap();
         expected.push(engine.solve_model(MODEL).unwrap().scores);
     }
 

@@ -49,7 +49,9 @@ fn generations(mgr: &ShardManager) -> Vec<u64> {
 fn valid_everywhere(mgr: &ShardManager) -> EdgeBatch {
     let mut batch = EdgeBatch::new();
     let (mut u, mut v) = (0u32, 100u32);
-    while (0..mgr.num_shards()).any(|k| mgr.shard(k as u64).delta_graph().has_arc(u, v)) || u == v {
+    while (0..mgr.num_shards()).any(|k| mgr.shard(k as u64).delta_graph().graph().has_arc(u, v))
+        || u == v
+    {
         u += 1;
         v -= 1;
     }
